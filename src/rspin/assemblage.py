@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .curveconf import (
     CurveSystem,
@@ -224,6 +224,54 @@ class FramingCertificate:
         return tuple(v for _, v in self.boundary_values)
 
 
+def _core_state(
+    core: CurveSystem,
+    initial_values: Sequence[tuple[str, int]],
+    modulus: int,
+) -> tuple[CoreReport, AssemblageState]:
+    """Verify the core and seat the initial boundary values on it."""
+    report = verify_core(core)
+    if len(initial_values) != report.boundary:
+        raise InconsistentInputError(
+            f"core neighborhood has {report.boundary} boundary components; "
+            f"{len(initial_values)} initial values supplied")
+    if len({n for n, _ in initial_values}) != len(initial_values):
+        raise InconsistentInputError("initial boundary names must be distinct")
+    state = AssemblageState(
+        report.genus,
+        tuple((n, reduce_residue(v, modulus)) for n, v in initial_values),
+        modulus)
+    state.check_coherence()
+    return report, state
+
+
+def _judge(
+    report: CoreReport,
+    state: AssemblageState,
+    ambient: tuple[int, int],
+    steps: Sequence[AssemblageStep],
+) -> FramingCertificate:
+    """Generation criteria for a folded state; `steps` are the attached curves."""
+    flags = dict(
+        type_e=report.type_e,
+        core_genus_ok=report.genus >= 5,
+        ambient_genus_ok=ambient[0] >= 5,
+        boundary_ok=state.b >= 1,
+        filling=(state.genus, state.b) == tuple(ambient),
+        windings_zero=all(residues_equal(s.curve_winding, 0, state.modulus)
+                          for s in steps),
+    )
+    return FramingCertificate(
+        core_genus=report.genus,
+        final_genus=state.genus,
+        final_boundary=state.b,
+        final_chi=state.chi,
+        boundary_values=state.boundaries,
+        verdict=all(flags.values()),
+        **flags,
+    )
+
+
 def certify(
     asm: Assemblage,
     initial_values: Sequence[tuple[str, int]],
@@ -235,40 +283,10 @@ def certify(
     invariants fill the ambient surface, and every attached curve carries
     winding zero.
     """
-    report = verify_core(asm.core)
-    if len(initial_values) != report.boundary:
-        raise InconsistentInputError(
-            f"core neighborhood has {report.boundary} boundary components; "
-            f"{len(initial_values)} initial values supplied")
-    if len({n for n, _ in initial_values}) != len(initial_values):
-        raise InconsistentInputError("initial boundary names must be distinct")
-    state = AssemblageState(
-        report.genus,
-        tuple((n, reduce_residue(v, asm.modulus)) for n, v in initial_values),
-        asm.modulus)
-    state.check_coherence()
+    report, state = _core_state(asm.core, initial_values, asm.modulus)
     for step in asm.steps:
         state = apply_step(state, step)
-    filling = (state.genus, state.b) == tuple(asm.ambient)
-    windings_zero = all(residues_equal(s.curve_winding, 0, asm.modulus)
-                        for s in asm.steps)
-    flags = dict(
-        type_e=report.type_e,
-        core_genus_ok=report.genus >= 5,
-        ambient_genus_ok=asm.ambient[0] >= 5,
-        boundary_ok=state.b >= 1,
-        filling=filling,
-        windings_zero=windings_zero,
-    )
-    return FramingCertificate(
-        core_genus=report.genus,
-        final_genus=state.genus,
-        final_boundary=state.b,
-        final_chi=state.chi,
-        boundary_values=state.boundaries,
-        verdict=all(flags.values()),
-        **flags,
-    )
+    return _judge(report, state, asm.ambient, asm.steps)
 
 
 def capping_order(values: Sequence[int]) -> int:
@@ -288,12 +306,85 @@ def capping_order(values: Sequence[int]) -> int:
 # -- the two-section construction ---------------------------------------------
 
 
-def smoothing_assemblage(
-    g_c: int,
-    g_d: int,
-    d: int,
-) -> tuple[Assemblage, tuple[int, int]]:
-    """Assemblage for a smoothed union of two sections, plus expected finals.
+CORE_VALUES = (("dC", -9), ("dD", -3))
+_CORE_SIDES = tuple(n for n, _ in CORE_VALUES)
+_CORE_START = tuple(v for _, v in CORE_VALUES)
+
+Sides = tuple[str, str]
+Pattern = Callable[[int, int, Sides, tuple[int, int]],
+                   tuple[tuple[AssemblageStep, ...], Sides]]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One handle pair of the two-section construction and its repeat count.
+
+    ``pattern(k, serial, sides, values)`` builds repeat k from the names and
+    values of the two section boundaries (C side, D side) entering it;
+    ``serial`` counts the fresh names used before the repeat, and each repeat
+    uses ``serials`` more.  A repeat turns the two section boundaries into
+    two new ones with the same step modes every time, so it adds the same
+    genus (one, for a split/merge pair), and moves the values by ``shift``.
+    Declared values are affine in the incoming values, so the sum rule of
+    repeat k is affine in k.
+    """
+
+    pattern: Pattern
+    repeats: int
+    shift: tuple[int, int]
+    serials: int
+
+    def values_at(self, values: tuple[int, int], k: int) -> tuple[int, int]:
+        """Section boundary values entering repeat k, given those entering the stage."""
+        return (values[0] + k * self.shift[0], values[1] + k * self.shift[1])
+
+
+@dataclass(frozen=True)
+class TwoSection:
+    """The two-section construction: a stage table over the core."""
+
+    core: CurveSystem
+    stages: tuple[Stage, ...]
+    ambient: tuple[int, int]
+    expected: tuple[int, int]
+
+    @property
+    def step_count(self) -> int:
+        return 2 * sum(s.repeats for s in self.stages)
+
+
+def _genus_pair(tag: str, side: int) -> Pattern:
+    """Split one section's boundary and merge the halves: one more genus."""
+    prefix = _CORE_SIDES[side]
+
+    def pattern(k, serial, sides, values):
+        left, right = f"s{serial + 1}", f"s{serial + 2}"
+        merged = f"{prefix}{serial + 4}"
+        v = values[side]
+        pair = (AssemblageStep(f"{tag}{serial + 3}", "split", sides[side],
+                               new_names=(left, right), new_values=(v - 1, 0)),
+                AssemblageStep(f"{tag}{serial + 5}", "merge", left, other=right,
+                               new_names=(merged,), new_values=(v - 2,)))
+        return pair, ((merged, sides[1]) if side == 0 else (sides[0], merged))
+
+    return pattern
+
+
+def _walk_pair(k, serial, sides, values):
+    """Merge the two section boundaries and split them apart, one circle on."""
+    i = k + 5
+    joined, new_c, new_d = f"j{serial + 1}", f"dC{serial + 2}", f"dD{serial + 3}"
+    v_c, v_d = values
+    pair = (AssemblageStep(f"t{i}", "merge", sides[0], other=sides[1],
+                           new_names=(joined,), new_values=(v_c + v_d - 1,)),
+            AssemblageStep(f"delta{i}", "split", joined,
+                           new_names=(new_c, new_d),
+                           new_values=(v_c - 1, v_d - 1)))
+    return pair, (new_c, new_d)
+
+
+def two_section(g_c: int, g_d: int, d: int) -> TwoSection:
+    """Stage table for a smoothed union of two sections, plus expected finals.
 
     Parameterized by the section genera and the intersection count d: the
     13-curve core (genus 6, two boundary circles), then three stages of
@@ -301,10 +392,9 @@ def smoothing_assemblage(
     remaining genus, (d - 4) merge/split pairs walking the remaining
     boundary circles across, and g_d split/merge pairs for the second half.
     The expected final boundary values are chi(C) - d - 1 and chi(D) - d - 1
-    with chi = 2 - 2g; the engine lands on them exactly whenever the step
-    sequence is constructible (g_c >= 3).  Otherwise the returned assemblage
-    carries no steps (its certificate reports filling false) and the
-    expected values are still the formula output.
+    with chi = 2 - 2g; the stages land on them exactly whenever the
+    construction applies (g_c >= 3).  Otherwise the table has no stages and
+    the expected values are still the formula output.
     """
     if d < 6:
         raise InconsistentInputError("construction needs d >= 6")
@@ -312,64 +402,108 @@ def smoothing_assemblage(
     if g_e < 5:
         raise InconsistentInputError("construction needs ambient genus >= 5")
     expected = (1 - 2 * g_c - d, 1 - 2 * g_d - d)
-    core = e6_a7_core()
-    ambient = (g_e, 2)
-    if g_c < 3:
-        return Assemblage(core, (), ambient), expected
+    stages: tuple[Stage, ...] = ()
+    if g_c >= 3:
+        stages = (Stage(_genus_pair("hc", 0), g_c - 3, (-2, 0), 5),
+                  Stage(_walk_pair, d - 4, (-1, -1), 3),
+                  Stage(_genus_pair("hd", 1), g_d, (0, -2), 5))
+        landed = _CORE_START
+        for stage in stages:
+            landed = stage.values_at(landed, stage.repeats)
+        if landed != expected:
+            raise InternalInconsistencyError(
+                f"step generator landed on {landed}, expected {expected}")
+    return TwoSection(e6_a7_core(), stages, (g_e, 2), expected)
 
+
+def smoothing_assemblage(
+    g_c: int,
+    g_d: int,
+    d: int,
+) -> tuple[Assemblage, tuple[int, int]]:
+    """Assemblage for a smoothed union of two sections, plus expected finals.
+
+    Expands every repeat of the `two_section` stage table into explicit
+    steps, so it holds 2(g_c - 3) + 2(d - 4) + 2 g_d steps, O(deg^2) on a
+    fixed surface.  It is the reference that `certify_two_section`, the
+    O(1)-in-degree fold the monodromy report uses, is tested against.  With
+    g_c < 3 the assemblage is the bare core with no steps.
+    """
+    table = two_section(g_c, g_d, d)
     steps: list[AssemblageStep] = []
-    serial = 0
-
-    def fresh(prefix: str) -> str:
-        nonlocal serial
-        serial += 1
-        return f"{prefix}{serial}"
-
-    c_side, d_side = "dC", "dD"
-    v_c, v_d = -9, -3
-
-    # Stage one: genus of the first half beyond the core.
-    for _ in range(g_c - 3):
-        left, right = fresh("s"), fresh("s")
-        steps.append(AssemblageStep(fresh("hc"), "split", c_side,
-                                    new_names=(left, right),
-                                    new_values=(v_c - 1, 0)))
-        merged = fresh("dC")
-        steps.append(AssemblageStep(fresh("hc"), "merge", left, other=right,
-                                    new_names=(merged,), new_values=(v_c - 2,)))
-        c_side, v_c = merged, v_c - 2
-
-    # Stage two: walk the remaining boundary circles across the union.
-    for i in range(5, d + 1):
-        joined = fresh("j")
-        steps.append(AssemblageStep(f"t{i}", "merge", c_side, other=d_side,
-                                    new_names=(joined,),
-                                    new_values=(v_c + v_d - 1,)))
-        new_c, new_d = fresh("dC"), fresh("dD")
-        steps.append(AssemblageStep(f"delta{i}", "split", joined,
-                                    new_names=(new_c, new_d),
-                                    new_values=(v_c - 1, v_d - 1)))
-        c_side, d_side = new_c, new_d
-        v_c, v_d = v_c - 1, v_d - 1
-
-    # Stage three: genus of the second half.
-    for _ in range(g_d):
-        left, right = fresh("s"), fresh("s")
-        steps.append(AssemblageStep(fresh("hd"), "split", d_side,
-                                    new_names=(left, right),
-                                    new_values=(v_d - 1, 0)))
-        merged = fresh("dD")
-        steps.append(AssemblageStep(fresh("hd"), "merge", left, other=right,
-                                    new_names=(merged,), new_values=(v_d - 2,)))
-        d_side, v_d = merged, v_d - 2
-
-    if (v_c, v_d) != expected:
-        raise InternalInconsistencyError(
-            f"step generator landed on {(v_c, v_d)}, expected {expected}")
-    return Assemblage(core, tuple(steps), ambient), expected
+    sides, values, serial = _CORE_SIDES, _CORE_START, 0
+    for stage in table.stages:
+        for k in range(stage.repeats):
+            pair, sides = stage.pattern(k, serial, sides, stage.values_at(values, k))
+            steps += pair
+            serial += stage.serials
+        values = stage.values_at(values, stage.repeats)
+    return Assemblage(table.core, tuple(steps), table.ambient), table.expected
 
 
-CORE_VALUES = (("dC", -9), ("dD", -3))
+def _fold_stage(
+    stage: Stage,
+    state: AssemblageState,
+    sides: Sides,
+    values: tuple[int, int],
+    serial: int,
+    folded: list[AssemblageStep],
+) -> tuple[AssemblageState, Sides]:
+    """Fold repeats 0 and n - 1 of a non-empty stage entered at `state`.
+
+    Returns the state and section boundary names the explicit fold of all n
+    repeats reaches; the steps folded are appended to `folded`.
+    """
+
+    def repeat(k, entry, entry_sides):
+        pair, out = stage.pattern(k, serial + k * stage.serials, entry_sides,
+                                  stage.values_at(values, k))
+        folded.extend(pair)
+        for step in pair:
+            entry = apply_step(entry, step)
+        landing = tuple(zip(out, stage.values_at(values, k + 1)))
+        if sorted(entry.boundaries) != sorted(landing):
+            raise InconsistentStepError(
+                f"stage repeat {k} lands on {entry.boundaries}; the stage "
+                f"table says {landing}")
+        return entry, out
+
+    after, out = repeat(0, state, sides)
+    k = stage.repeats - 1
+    if k == 0:
+        return after, out
+    # Names entering repeat k come from repeat k - 1; genus and values are the
+    # stage entry's, advanced by k repeats.
+    _, entry_sides = stage.pattern(k - 1, serial + (k - 1) * stage.serials, sides,
+                                   stage.values_at(values, k - 1))
+    rename = dict(zip(out, zip(entry_sides, stage.values_at(values, k))))
+    entry = AssemblageState(state.genus + k * (after.genus - state.genus),
+                            tuple(rename[n] for n, _ in after.boundaries),
+                            state.modulus)
+    entry.check_coherence()
+    return repeat(k, entry, entry_sides)
+
+
+def certify_two_section(table: TwoSection) -> FramingCertificate:
+    """certify(smoothing_assemblage(...)[0], CORE_VALUES) in O(1) per stage.
+
+    Verifies the core and the initial coherence, then folds only the first
+    and the last repeat of each non-empty stage with apply_step.  The sum
+    rule and the landing values of repeat k are affine in k, so holding at
+    both ends they hold for every repeat in between.  The state entering the
+    last repeat is the stage's entry state advanced by k shifts and k genus,
+    rechecked for coherence.  Returns the certificate the explicit fold
+    builds, with windings judged on the folded repeats.
+    """
+    report, state = _core_state(table.core, CORE_VALUES, 0)
+    sides, values, serial = _CORE_SIDES, _CORE_START, 0
+    folded: list[AssemblageStep] = []
+    for stage in table.stages:
+        if stage.repeats:
+            state, sides = _fold_stage(stage, state, sides, values, serial, folded)
+        values = stage.values_at(values, stage.repeats)
+        serial += stage.repeats * stage.serials
+    return _judge(report, state, table.ambient, folded)
 
 
 # -- monodromy report ---------------------------------------------------------
@@ -403,6 +537,10 @@ def monodromy_report(
     r | r' and that no root of order beyond r exists (gcd maximality), and
     combines these with the jet-splitting certificate into the final verdict
     that the monodromy group is the full stabilizer of the r-spin structure.
+
+    The assemblage is certified stage by stage (`certify_two_section`), so
+    the report costs O(1) in the degree; `steps` still counts every step of
+    the explicit construction.
     """
     lattice = c.lattice
     l = c + d_class
@@ -446,13 +584,14 @@ def monodromy_report(
     quantities["jet_L1"] = splitting.jet1
     quantities["jet_L2"] = splitting.jet2
 
-    asm, expected = smoothing_assemblage(g_c, g_d, d)
-    cert = certify(asm, CORE_VALUES)
-    if asm.steps and cert.values() and sorted(cert.values()) != sorted(expected):
+    table = two_section(g_c, g_d, d)
+    expected = table.expected
+    cert = certify_two_section(table)
+    if table.step_count and cert.values() and sorted(cert.values()) != sorted(expected):
         raise InternalInconsistencyError(
             f"engine finals {cert.values()} != expected {expected}")
     quantities["core_h"] = cert.core_genus
-    quantities["steps"] = len(asm.steps)
+    quantities["steps"] = table.step_count
     quantities["final_values"] = ",".join(str(v) for v in expected)
     quantities["filling"] = int(cert.filling)
 
@@ -498,6 +637,21 @@ def monodromy_report(
 # Merge steps: step <curve> merge <b1> <b2> <new> <v>
 
 
+def _fields(parts: list[str], line: str, form: str) -> list[str]:
+    """The tokens after the keyword of `line`, which must have the shape `form`."""
+    if len(parts) != len(form.split()):
+        raise InconsistentInputError(f"expected '{form}'; got {line!r}")
+    return parts[1:]
+
+
+def _int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InconsistentInputError(
+            f"expected an integer, got {token!r} in {line!r}") from None
+
+
 def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
     modulus = 0
     ambient = None
@@ -520,23 +674,33 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
         parts = line.split()
         head = parts[0]
         if head == "modulus":
-            modulus = int(parts[1])
+            (r,) = _fields(parts, line, "modulus <r>")
+            modulus = _int(r, line)
         elif head == "ambient":
-            ambient = (int(parts[1]), int(parts[2]))
+            g, b = _fields(parts, line, "ambient <genus> <boundary>")
+            ambient = (_int(g, line), _int(b, line))
         elif head == "core":
-            if parts[1] == "e6a7":
+            spec = parts[1] if len(parts) > 1 else ""
+            if spec == "e6a7":
+                _fields(parts, line, "core e6a7")
                 core = e6_a7_core()
-            elif parts[1] == "chain":
-                core = chain(int(parts[2]))
-            elif parts[1] == "dynkin":
-                core = dynkin(parts[2])
-            elif parts[1] == "inline":
+            elif spec == "chain":
+                _, n = _fields(parts, line, "core chain <n>")
+                core = chain(_int(n, line))
+            elif spec == "dynkin":
+                _, kind = _fields(parts, line, "core dynkin <type>")
+                core = dynkin(kind)
+            elif spec == "inline":
+                _fields(parts, line, "core inline")
                 in_config = True
                 config_lines = []
             else:
-                raise InconsistentInputError(f"unknown core spec {parts[1]!r}")
+                raise InconsistentInputError(
+                    "expected 'core e6a7 | chain <n> | dynkin <type> | inline'; "
+                    f"got {line!r}")
         elif head == "boundary":
-            values.append((parts[1], int(parts[2])))
+            name, value = _fields(parts, line, "boundary <name> <value>")
+            values.append((name, _int(value, line)))
         elif head == "step":
             if len(parts) < 3:
                 raise InconsistentInputError(f"malformed step line {line!r}")
@@ -549,7 +713,7 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
                 steps.append(AssemblageStep(
                     curve, "split", parts[3],
                     new_names=(parts[4], parts[6]),
-                    new_values=(int(parts[5]), int(parts[7]))))
+                    new_values=(_int(parts[5], line), _int(parts[7], line))))
             elif mode == "merge":
                 if len(parts) != 7:
                     raise InconsistentInputError(
@@ -557,7 +721,7 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
                         f"<v>; got {line!r}")
                 steps.append(AssemblageStep(
                     curve, "merge", parts[3], other=parts[4],
-                    new_names=(parts[5],), new_values=(int(parts[6]),)))
+                    new_names=(parts[5],), new_values=(_int(parts[6], line),)))
             else:
                 raise InconsistentInputError(f"unknown step mode {mode!r}")
         else:

@@ -204,6 +204,10 @@ def _parse_winding_file(text: str):
             continue
         parts = line.split()
         if parts[0] == "context":
+            if len(parts) != 4:
+                raise InconsistentInputError(
+                    f"context line needs 'context <genus> <boundary> <modulus>'; "
+                    f"got {line!r}")
             g, b, r = int(parts[1]), int(parts[2]), int(parts[3])
             ctx = windmod.WindingContext(r, g, tuple(f"bd{i}" for i in range(1, b + 1)))
         elif parts[0] == "curve":

@@ -507,6 +507,8 @@ def parse_lattice(text: str) -> tuple[PicardLattice, JetLedger]:
         key = tokens[pos]
         pos += 1
         if key == "name":
+            if pos >= len(tokens):
+                raise InconsistentInputError("lattice description ends after 'name'")
             name = tokens[pos]
             pos += 1
         elif key == "rank":

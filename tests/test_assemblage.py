@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -12,9 +13,11 @@ from rspin.assemblage import (
     apply_step,
     capping_order,
     certify,
+    certify_two_section,
     monodromy_report,
     parse_assemblage,
     smoothing_assemblage,
+    two_section,
     verify_core,
 )
 from rspin.curveconf import chain, dynkin, e6_a7_core
@@ -24,7 +27,12 @@ from rspin.errors import (
     InconsistentStepError,
     UnknownComponentError,
 )
-from rspin.picard import catalog_lattice, genus_of_section, smoothed_genus
+from rspin.picard import (
+    catalog_lattice,
+    genus_of_section,
+    intersect,
+    smoothed_genus,
+)
 
 
 def test_verify_core_variants():
@@ -280,3 +288,120 @@ def test_parse_assemblage_round_trip():
     cert = certify(asm, values)
     assert cert.final_genus == 7 and cert.final_boundary == 2
     assert sorted(cert.values()) == [-10, -4]
+
+
+@pytest.mark.parametrize("line", [
+    "modulus", "modulus 0 1", "modulus x", "ambient 7", "ambient 7 2 1",
+    "ambient 7 b", "core", "core chain", "core e6a7 extra", "core dynkin",
+    "boundary dC", "boundary dC x", "step t5 merge dC dD j1 x",
+])
+def test_parse_assemblage_rejects_malformed_line(line):
+    text = "ambient 7 2\ncore e6a7\nboundary dC -9\nboundary dD -3\n"
+    with pytest.raises(InconsistentInputError, match=re.escape(repr(line))):
+        parse_assemblage(text + line + "\n")
+
+
+# -- the staged fold against the explicit fold -------------------------------
+
+
+def _assert_folds_agree(g_c, g_d, d):
+    table = two_section(g_c, g_d, d)
+    asm, expected = smoothing_assemblage(g_c, g_d, d)
+    explicit = certify(asm, CORE_VALUES)
+    staged = certify_two_section(table)
+    assert staged == explicit, (g_c, g_d, d)
+    assert table.step_count == len(asm.steps)
+    assert table.expected == expected
+
+
+@pytest.fixture
+def core_checked_once(monkeypatch):
+    # Both folds check the same fixed core; checking it once keeps the
+    # sweeps below to the fold itself.
+    import rspin.assemblage as asmmod
+
+    report = verify_core(e6_a7_core())
+    monkeypatch.setattr(asmmod, "verify_core", lambda core: report)
+
+
+def test_staged_fold_matches_explicit_parameter_box(core_checked_once):
+    for g_c in range(13):
+        for g_d in range(5):
+            for d in range(6, 15):
+                _assert_folds_agree(g_c, g_d, d)
+
+
+def test_staged_fold_matches_explicit_p2_pairs(core_checked_once):
+    lat, _ = catalog_lattice("P2")
+    for b in (1, 2, 3):
+        for m in range(b + 1, 61):
+            c, d = lat.divisor((m - b,)), lat.divisor((b,))
+            g_c, g_d, dd = genus_of_section(c), genus_of_section(d), intersect(c, d)
+            if dd < 6:
+                continue
+            _assert_folds_agree(g_c, g_d, dd)
+
+
+def _with_stage_pattern(monkeypatch, index, wrap, **changes):
+    """Make the report path see a two-section table with stage `index` altered."""
+    import rspin.assemblage as asmmod
+
+    def altered(g_c, g_d, d):
+        table = two_section(g_c, g_d, d)
+        stages = list(table.stages)
+        stage = stages[index]
+        stages[index] = dataclasses.replace(
+            stage, pattern=wrap(stage.pattern), **changes)
+        return dataclasses.replace(table, stages=tuple(stages))
+
+    monkeypatch.setattr(asmmod, "two_section", altered)
+
+
+def _first_step(edit):
+    def wrap(pattern):
+        def changed(k, serial, sides, values):
+            pair, out = pattern(k, serial, sides, values)
+            return (edit(pair[0]),) + pair[1:], out
+        return changed
+    return wrap
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_staged_fold_rejects_corrupted_pattern_value(monkeypatch, index):
+    bump = _first_step(lambda step: dataclasses.replace(
+        step, new_values=(step.new_values[0] + 1,) + step.new_values[1:]))
+    _with_stage_pattern(monkeypatch, index, bump)
+    lat, ledger = catalog_lattice("P2")
+    with pytest.raises(InconsistentStepError):
+        monodromy_report(lat.divisor((7,)), lat.divisor((3,)), ledger)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_staged_fold_rejects_wrong_stage_shift(monkeypatch, index):
+    # The pattern is sound but the table misstates where a repeat lands; the
+    # shifted values keep the sum, so coherence alone cannot tell.
+    shift = two_section(15, 3, 28).stages[index].shift
+    _with_stage_pattern(monkeypatch, index, lambda pattern: pattern,
+                        shift=(shift[0] - 1, shift[1] + 1))
+    lat, ledger = catalog_lattice("P2")
+    with pytest.raises(InconsistentStepError):
+        monodromy_report(lat.divisor((7,)), lat.divisor((4,)), ledger)
+
+
+def test_staged_fold_nonzero_curve_winding(monkeypatch):
+    wind = _first_step(lambda step: dataclasses.replace(step, curve_winding=2))
+    _with_stage_pattern(monkeypatch, 2, wind)
+    lat, ledger = catalog_lattice("P2")
+    doc = monodromy_report(lat.divisor((7,)), lat.divisor((3,)), ledger)
+    assert not doc.certificate.windings_zero and not doc.certificate.verdict
+    assert doc.quantities["certificate"] == "inapplicable"
+
+
+def test_monodromy_report_below_first_stage():
+    # g_C = 0 < 3: no steps; the capping arithmetic still runs.
+    lat, ledger = catalog_lattice("P2")
+    doc = monodromy_report(lat.divisor((2,)), lat.divisor((5,)), ledger)
+    q = doc.quantities
+    assert (q["g_C"], q["steps"], q["filling"]) == (0, 0, 0)
+    assert q["certificate"] == "inapplicable" and doc.verdict == "not certified"
+    assert q["final_values"] == "-9,-21" and q["r_prime"] == 4

@@ -171,6 +171,24 @@ def test_domain_error_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv,text", [
+    # assemblage `modulus` with no value
+    (("assemblage", "run", "FILE"),
+     "modulus\nambient 6 2\ncore e6a7\nboundary dC -9\nboundary dD -3\n"),
+    # lattice file that ends right after `name`
+    (("lattice", "FILE", "info"), "rank 1\ngram 1\ncanonical -3\nname\n"),
+    # winding `context` with two of its three integers
+    (("winding", "act", "FILE"), "context 2 0\ncurve a : 1 0 0 0 : 0\nword a^1\n"),
+], ids=["assemblage-modulus", "lattice-name", "winding-context"])
+def test_truncated_input_line_exit_one(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv),
+                       "--format", "machine")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
