@@ -14,8 +14,8 @@ pairing used elsewhere and do not enter chi/b/g (orientable plumbing).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -41,6 +41,24 @@ class Crossing:
             raise InconsistentInputError(f"crossing {self.ident}: sign must be +-1")
 
 
+def _incidence(curves: Sequence[str], crossings: Sequence[Crossing]) -> dict[str, list[str]]:
+    """Each curve's crossing ids in crossing order (the canonical tree ribbon)."""
+    if len(set(curves)) != len(curves):
+        raise InconsistentInputError("duplicate curve names")
+    incident: dict[str, list[str]] = {c: [] for c in curves}
+    seen = set()
+    for x in crossings:
+        if x.ident in seen:
+            raise InconsistentInputError(f"duplicate crossing id {x.ident}")
+        seen.add(x.ident)
+        for c in x.curves:
+            if c not in incident:
+                raise InconsistentInputError(
+                    f"crossing {x.ident} references unknown curve {c}")
+            incident[c].append(x.ident)
+    return incident
+
+
 class CurveSystem:
     """Named curves + signed crossings + (possibly derived) ribbon data."""
 
@@ -58,32 +76,16 @@ class CurveSystem:
         self.ambient = ambient
         self.roles = dict(roles or {})
         self.note = note
-        if len(set(self.curves)) != len(self.curves):
-            raise InconsistentInputError("duplicate curve names")
-        seen = set()
-        for x in self.crossings:
-            if x.ident in seen:
-                raise InconsistentInputError(f"duplicate crossing id {x.ident}")
-            seen.add(x.ident)
-            for c in x.curves:
-                if c not in self.curves:
-                    raise InconsistentInputError(
-                        f"crossing {x.ident} references unknown curve {c}")
+        incident = _incidence(self.curves, self.crossings)
         self.ribbon_given = ribbon is not None
         if ribbon is None:
-            self.ribbon = {c: tuple(x.ident for x in self.crossings if c in x.curves)
-                           for c in self.curves}
+            self.ribbon = {c: tuple(idents) for c, idents in incident.items()}
         else:
             self.ribbon = {c: tuple(ribbon.get(c, ())) for c in self.curves}
-        self._check_ribbon()
-
-    def _check_ribbon(self):
-        for c in self.curves:
-            incident = [x.ident for x in self.crossings if c in x.curves]
-            cyc = self.ribbon[c]
-            if sorted(cyc) != sorted(incident):
-                raise InconsistentInputError(
-                    f"ribbon data for {c} must list each incident crossing once")
+            for c, idents in incident.items():
+                if sorted(self.ribbon[c]) != sorted(idents):
+                    raise InconsistentInputError(
+                        f"ribbon data for {c} must list each incident crossing once")
 
     # -- basic queries ------------------------------------------------------
 
@@ -143,26 +145,37 @@ class IntersectionGraph:
     vertices: tuple[str, ...]
     edges: frozenset
 
+    @cached_property
+    def _adjacency(self) -> dict[str, list[str]]:
+        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        for ws in adj.values():
+            ws.sort()
+        return adj
+
     def degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self._adjacency[v])
 
     def neighbors(self, v: str) -> list[str]:
-        return sorted(w for e in self.edges if v in e for w in e if w != v)
+        return list(self._adjacency[v])
 
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
+        adj = self._adjacency
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
-            for w in self.neighbors(stack.pop()):
+            for w in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(self.vertices)
 
     def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == len(self.vertices) - 1
+        return len(self.edges) == len(self.vertices) - 1 and self.is_connected()
 
 
 @dataclass(frozen=True)
@@ -190,37 +203,19 @@ def is_arboreal(sys: CurveSystem) -> bool:
     return intersection_graph(sys).is_tree()
 
 
-def _branch_lengths(graph: IntersectionGraph, root: str) -> list[int]:
-    lengths = []
-    for first in graph.neighbors(root):
-        n, prev, cur = 1, root, first
-        while True:
-            nxt = [w for w in graph.neighbors(cur) if w != prev]
-            if len(nxt) != 1:
-                break
-            prev, cur = cur, nxt[0]
-            n += 1
-        lengths.append(n)
-    return sorted(lengths)
-
-
-def _induced_is_e6(graph: IntersectionGraph, verts: tuple[str, ...]) -> bool:
-    sub = frozenset(e for e in graph.edges if e <= set(verts))
-    induced = IntersectionGraph(verts, sub)
-    if len(sub) != 5 or not induced.is_tree():
-        return False
-    centers = [v for v in verts if induced.degree(v) == 3]
-    if len(centers) != 1:
-        return False
-    return _branch_lengths(induced, centers[0]) == [1, 2, 2]
-
-
 def has_induced_e6(graph: IntersectionGraph) -> bool:
-    """Exhaustive induced-subgraph search for the 5-chain-plus-middle-branch tree."""
-    if len(graph.vertices) < 6:
-        return False
-    return any(_induced_is_e6(graph, sub)
-               for sub in itertools.combinations(graph.vertices, 6))
+    """True iff a tree has an induced E6 (a 5-chain plus a branch at its middle).
+
+    Requires a tree.  There every connected vertex set induces a subtree, so
+    an E6 exists iff some vertex of degree >= 3 has two neighbours of degree
+    >= 2: it is the centre, and the two arms of length 2 run through those
+    neighbours.  One O(V + E) pass.
+    """
+    if not graph.is_tree():
+        raise UnsupportedTypeError("the E6 criterion needs a tree intersection graph")
+    return any(graph.degree(v) >= 3
+               and sum(graph.degree(w) >= 2 for w in graph.neighbors(v)) >= 2
+               for v in graph.vertices)
 
 
 def is_e_arboreal(sys: CurveSystem) -> bool:
@@ -415,7 +410,7 @@ def parse_curve_system(text: str) -> CurveSystem:
     if ribbon:
         # Fill the remaining curves with canonical order so partial ribbon
         # files stay usable for tree configurations.
-        full = {c: tuple(x.ident for x in xs if c in x.curves) for c in curves}
+        full = {c: tuple(idents) for c, idents in _incidence(curves, xs).items()}
         full.update({c: tuple(seq) for c, seq in ribbon.items()})
         return CurveSystem(curves, xs, ribbon=full, ambient=ambient)
     return CurveSystem(curves, xs, ambient=ambient)

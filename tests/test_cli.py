@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from rspin.cli import main, parse_machine, render_machine
@@ -147,6 +149,26 @@ def test_config_dynkin_flag(capsys):
     pairs = parse_machine(out)
     assert pairs["arboreal"] == "1" and pairs["e_arboreal"] == "0"
     assert pairs["genus"] == "3" and pairs["boundary"] == "2"
+
+
+def test_config_chain_40_is_fast(capsys):
+    # Exhaustive E6 search took seconds here (C(40, 6) subsets); the tree
+    # criterion is linear.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "config", "analyze", "--chain", "40",
+                       "--format", "machine")
+    elapsed = time.perf_counter() - start
+    pairs = parse_machine(out)
+    assert code == 0 and pairs["arboreal"] == "1" and pairs["e_arboreal"] == "0"
+    assert pairs["genus"] == "20"
+    assert elapsed < 0.5, f"config analyze --chain 40 took {elapsed:.2f}s"
+
+
+def test_winding_census_large_genus(capsys):
+    code, out, _ = run(capsys, "winding", "census", "--g", "7", "--format", "machine")
+    assert code == 0
+    pairs = parse_machine(out)
+    assert pairs["arf0"] == "8256" and pairs["arf1"] == "8128"
 
 
 def test_catalog_cli(capsys, tmp_path):

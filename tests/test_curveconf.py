@@ -1,10 +1,13 @@
+import itertools
 import random
+import time
 
 import pytest
 
 from rspin.curveconf import (
     Crossing,
     CurveSystem,
+    IntersectionGraph,
     chain,
     dynkin,
     e6_a7_core,
@@ -76,6 +79,115 @@ def test_e6_search_rejects_wrong_trees():
     d6 = CurveSystem(curves, xs)
     assert is_arboreal(d6) and not is_e_arboreal(d6)
     assert not has_induced_e6(intersection_graph(chain(12)))
+
+
+def _branch_lengths(graph, root):
+    lengths = []
+    for first in graph.neighbors(root):
+        n, prev, cur = 1, root, first
+        while True:
+            nxt = [w for w in graph.neighbors(cur) if w != prev]
+            if len(nxt) != 1:
+                break
+            prev, cur = cur, nxt[0]
+            n += 1
+        lengths.append(n)
+    return sorted(lengths)
+
+
+def _induced_is_e6(graph, verts):
+    sub = frozenset(e for e in graph.edges if e <= set(verts))
+    induced = IntersectionGraph(verts, sub)
+    if len(sub) != 5 or not induced.is_tree():
+        return False
+    centers = [v for v in verts if induced.degree(v) == 3]
+    if len(centers) != 1:
+        return False
+    return _branch_lengths(induced, centers[0]) == [1, 2, 2]
+
+
+def brute_has_e6(graph):
+    """Oracle: try every 6-vertex subset for an induced E6 (C(n, 6) subsets)."""
+    return any(_induced_is_e6(graph, sub)
+               for sub in itertools.combinations(graph.vertices, 6))
+
+
+def tree_graph(n, edges):
+    return IntersectionGraph(tuple(f"v{i}" for i in range(n)),
+                             frozenset(frozenset((f"v{a}", f"v{b}")) for a, b in edges))
+
+
+def tree_system(n, edges):
+    return CurveSystem([f"v{i}" for i in range(n)],
+                       [Crossing(f"x{k}", (f"v{a}", f"v{b}")) for k, (a, b) in enumerate(edges)])
+
+
+def prufer_edges(seq, n):
+    """The labelled tree on 0..n-1 with Pruefer sequence seq."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    u, w = (u for u in range(n) if degree[u] == 1)
+    return edges + [(u, w)]
+
+
+def broom_edges(n, handle):
+    """A path v0..v(handle-1) whose last vertex carries the remaining n - handle leaves."""
+    return [(i, i + 1) for i in range(handle - 1)] + [(handle - 1, i) for i in range(handle, n)]
+
+
+def d_edges(n):
+    """D_n: a path v0..v(n-2) with a second leaf v(n-1) on v1."""
+    return [(i, i + 1) for i in range(n - 2)] + [(1, n - 1)]
+
+
+def test_e6_criterion_matches_brute_force_on_all_small_trees():
+    count = 0
+    for n in range(1, 8):
+        for seq in itertools.product(range(n), repeat=max(n - 2, 0)):
+            graph = tree_graph(n, prufer_edges(seq, n) if n > 1 else [])
+            assert graph.is_tree()
+            assert has_induced_e6(graph) == brute_has_e6(graph), (n, seq)
+            count += 1
+    assert count == sum(n ** (n - 2) for n in range(2, 8)) + 1
+
+
+def test_e6_criterion_matches_brute_force_on_random_and_named_trees():
+    rng = random.Random(20251017)
+    cases = []
+    for n in range(8, 11):
+        for _ in range(40):
+            cases.append((n, prufer_edges([rng.randrange(n) for _ in range(n - 2)], n)))
+        cases.append((n, [(i, i + 1) for i in range(n - 1)]))
+        cases.append((n, d_edges(n)))
+        cases += [(n, broom_edges(n, h)) for h in range(1, n)]
+    core = intersection_graph(e6_a7_core())
+    graphs = [tree_graph(n, edges) for n, edges in cases] + [core]
+    assert any(brute_has_e6(g) for g in graphs) and not all(brute_has_e6(g) for g in graphs)
+    for graph in graphs:
+        assert has_induced_e6(graph) == brute_has_e6(graph), sorted(map(sorted, graph.edges))
+
+
+def test_e6_criterion_refuses_non_trees():
+    with pytest.raises(UnsupportedTypeError):
+        has_induced_e6(intersection_graph(triangle()))
+
+
+def test_e_arboreal_is_linear_time():
+    # The exhaustive search needed C(n, 6) subsets; these are far out of its reach.
+    start = time.perf_counter()
+    assert not is_e_arboreal(chain(1000))
+    assert not is_e_arboreal(tree_system(1000, broom_edges(1000, 3)))
+    path_with_leaf = [(i, i + 1) for i in range(998)] + [(500, 999)]
+    assert is_e_arboreal(tree_system(1000, path_with_leaf))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"is_e_arboreal on 1000 curves took {elapsed:.2f}s"
 
 
 def test_dynkin_graph_shapes():

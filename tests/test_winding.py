@@ -7,7 +7,6 @@ from rspin.errors import (
     InconsistentInputError,
     RefinementOrderError,
     UnknownComponentError,
-    UnsupportedTypeError,
 )
 from rspin.winding import (
     HomologyCurve,
@@ -208,18 +207,31 @@ def test_form_extension_rule():
         assert q(s) == (q(u) + q(v) + pair) % 2
 
 
+def brute_census(g):
+    """Oracle: count all 2^{2g} forms by Arf invariant."""
+    census = {0: 0, 1: 0}
+    for values in itertools.product((0, 1), repeat=2 * g):
+        census[QuadraticFormMod2(g, values).arf()] += 1
+    return census
+
+
 def test_arf_census():
     assert enumerate_forms(1) == {0: 3, 1: 1}
     assert enumerate_forms(2) == {0: 10, 1: 6}
-    with pytest.raises(UnsupportedTypeError):
-        enumerate_forms(7)
+    # No cost guard: the closed form is exact at any genus.
+    for g in (7, 64):
+        census = enumerate_forms(g)
+        assert census[0] == 2 ** (g - 1) * (2 ** g + 1)
+        assert census[1] == 2 ** (g - 1) * (2 ** g - 1)
+    assert enumerate_forms(7) == {0: 8256, 1: 8128}
+    with pytest.raises(InconsistentInputError):
+        enumerate_forms(-1)
 
 
 def test_arf_census_closed_form_identity():
-    # Derived identity, checked against the census rather than assumed.
-    for g in range(1, 5):
+    for g in range(0, 5):
         census = enumerate_forms(g)
-        assert census[0] == 2 ** (g - 1) * (2 ** g + 1)
+        assert census == brute_census(g)
         assert census[0] + census[1] == 2 ** (2 * g)
 
 
