@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .curveconf import (
     CurveSystem,
@@ -127,54 +127,79 @@ class AssemblageState:
                 f"(mod {self.modulus})")
 
 
+def _fold(state: AssemblageState, steps: Iterable[AssemblageStep]) -> AssemblageState:
+    """Attach `steps` to `state` in order, O(1) per step.
+
+    The boundary is kept as an insertion-ordered name -> value map with a
+    running value sum, so a step's lookup, name-reuse check, sum rule and
+    coherence recheck touch only the components it names; the new
+    components go last, as in `AssemblageState.boundaries`.  The sum rules
+    keep (value sum - chi) fixed mod r, so coherence is rechecked on every
+    step exactly when the entry state is coherent (standalone use on
+    fabricated incoherent states is allowed).  Boundary names must be
+    distinct, as `_core_state` requires of initial values.
+    """
+    r = state.modulus
+    values = dict(state.boundaries)
+    if len(values) != state.b:
+        raise InconsistentInputError("boundary names must be distinct")
+    genus, total = state.genus, sum(values.values())
+    coherent = state.is_coherent()
+    for step in steps:
+        component = step.component
+        if component not in values:
+            raise UnknownComponentError(f"no boundary component {component!r}")
+        if step.mode == "split":
+            old = values[component]
+            raw1, raw2 = step.new_values
+            v1, v2 = reduce_residue(raw1, r), reduce_residue(raw2, r)
+            if not residues_equal(v1 + v2, old - 1, r):
+                raise InconsistentStepError(
+                    f"step {step.curve}: split values {step.new_values} must sum to "
+                    f"{old} - 1")
+            n1, n2 = step.new_names
+            for n in (n1, n2):
+                if n in values and n != component:
+                    raise InconsistentStepError(f"boundary name {n!r} already in use")
+            del values[component]
+            values[n1], values[n2] = v1, v2
+            total += v1 + v2 - old
+        else:
+            other = step.other
+            if other not in values:
+                raise UnknownComponentError(f"no boundary component {other!r}")
+            if other == component:
+                raise InconsistentStepError(
+                    f"step {step.curve}: merge needs two distinct components")
+            v1, v2 = values[component], values[other]
+            declared = reduce_residue(step.new_values[0], r)
+            if not residues_equal(declared, v1 + v2 - 1, r):
+                raise InconsistentStepError(
+                    f"step {step.curve}: merge value {step.new_values[0]} must equal "
+                    f"{v1} + {v2} - 1")
+            (name,) = step.new_names
+            if name in values and name != component and name != other:
+                raise InconsistentStepError(f"boundary name {name!r} already in use")
+            del values[component], values[other]
+            values[name] = declared
+            total += declared - v1 - v2
+            genus += 1
+        if coherent:
+            chi = 2 - 2 * genus - len(values)
+            if not residues_equal(total, chi, r):
+                raise InternalInconsistencyError(
+                    f"coherence failed: sum {total} != chi {chi} (mod {r})")
+    return AssemblageState(genus, tuple(values.items()), r)
+
+
 def apply_step(state: AssemblageState, step: AssemblageStep) -> AssemblageState:
     """Attach one 1-handle; verifies the sum rule and preserves coherence.
 
     The local sum rules force the value sum to drop by one alongside chi, so
-    a coherent state stays coherent; the engine re-checks that on every step
-    it can (standalone use on fabricated local states is allowed).
+    a coherent state stays coherent; the engine re-checks that whenever the
+    state it starts from is coherent.
     """
-    r = state.modulus
-    names = [n for n, _ in state.boundaries]
-    if step.component not in names:
-        raise UnknownComponentError(f"no boundary component {step.component!r}")
-    if step.mode == "split":
-        old = state.value(step.component)
-        v1, v2 = (reduce_residue(v, r) for v in step.new_values)
-        if not residues_equal(v1 + v2, old - 1, r):
-            raise InconsistentStepError(
-                f"step {step.curve}: split values {step.new_values} must sum to "
-                f"{old} - 1")
-        for n in step.new_names:
-            if n in names and n != step.component:
-                raise InconsistentStepError(f"boundary name {n!r} already in use")
-        boundaries = tuple((n, v) for n, v in state.boundaries
-                           if n != step.component)
-        boundaries += ((step.new_names[0], v1), (step.new_names[1], v2))
-        new = AssemblageState(state.genus, boundaries, r)
-    else:
-        if step.other not in names:
-            raise UnknownComponentError(f"no boundary component {step.other!r}")
-        if step.other == step.component:
-            raise InconsistentStepError(
-                f"step {step.curve}: merge needs two distinct components")
-        v1, v2 = state.value(step.component), state.value(step.other)
-        declared = reduce_residue(step.new_values[0], r)
-        if not residues_equal(declared, v1 + v2 - 1, r):
-            raise InconsistentStepError(
-                f"step {step.curve}: merge value {step.new_values[0]} must equal "
-                f"{v1} + {v2} - 1")
-        if step.new_names[0] in names and step.new_names[0] not in (
-                step.component, step.other):
-            raise InconsistentStepError(
-                f"boundary name {step.new_names[0]!r} already in use")
-        boundaries = tuple((n, v) for n, v in state.boundaries
-                           if n not in (step.component, step.other))
-        boundaries += ((step.new_names[0], declared),)
-        new = AssemblageState(state.genus + 1, boundaries, r)
-    if state.is_coherent():
-        new.check_coherence()
-    return new
+    return _fold(state, (step,))
 
 
 @dataclass(frozen=True)
@@ -284,9 +309,7 @@ def certify(
     winding zero.
     """
     report, state = _core_state(asm.core, initial_values, asm.modulus)
-    for step in asm.steps:
-        state = apply_step(state, step)
-    return _judge(report, state, asm.ambient, asm.steps)
+    return _judge(report, _fold(state, asm.steps), asm.ambient, asm.steps)
 
 
 def capping_order(values: Sequence[int]) -> int:
@@ -459,8 +482,7 @@ def _fold_stage(
         pair, out = stage.pattern(k, serial + k * stage.serials, entry_sides,
                                   stage.values_at(values, k))
         folded.extend(pair)
-        for step in pair:
-            entry = apply_step(entry, step)
+        entry = _fold(entry, pair)
         landing = tuple(zip(out, stage.values_at(values, k + 1)))
         if sorted(entry.boundaries) != sorted(landing):
             raise InconsistentStepError(
@@ -488,11 +510,11 @@ def certify_two_section(table: TwoSection) -> FramingCertificate:
     """certify(smoothing_assemblage(...)[0], CORE_VALUES) in O(1) per stage.
 
     Verifies the core and the initial coherence, then folds only the first
-    and the last repeat of each non-empty stage with apply_step.  The sum
-    rule and the landing values of repeat k are affine in k, so holding at
-    both ends they hold for every repeat in between.  The state entering the
-    last repeat is the stage's entry state advanced by k shifts and k genus,
-    rechecked for coherence.  Returns the certificate the explicit fold
+    and the last repeat of each non-empty stage.  The sum rule and the
+    landing values of repeat k are affine in k, so holding at both ends they
+    hold for every repeat in between.  The state entering the last repeat
+    is the stage's entry state advanced by k shifts and k genus, rechecked
+    for coherence.  Returns the certificate the explicit fold
     builds, with windings judged on the folded repeats.
     """
     report, state = _core_state(table.core, CORE_VALUES, 0)

@@ -26,7 +26,6 @@ MERIDIAN = "meridian"
 BOUNDARY = "boundary"
 STABILIZER = "stabilizer"
 PUSH = "push"
-HALFTWIST = "halftwist"
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class BraidGenerator:
     exponent: int = 1
 
     def __post_init__(self):
-        if self.kind in (MERIDIAN, HALFTWIST):
+        if self.kind == MERIDIAN:
             if len(self.indices) != 2 or not (1 <= self.indices[0] < self.indices[1]):
                 raise InconsistentInputError(
                     f"{self.kind} needs indices 1 <= i < j; got {self.indices}")
@@ -134,8 +133,8 @@ def in_stabilizer(word: Sequence[BraidGenerator], d: int) -> bool:
 def homology_trace(word: Sequence[BraidGenerator], genus: int) -> tuple[int, ...]:
     """Total homology class a braid traces out: sum of labels times exponents.
 
-    Point-pushes contribute their declared loop class; meridian, boundary,
-    half-twist, and tagged stabilizer generators contribute zero.
+    Point-pushes contribute their declared loop class; meridian, boundary
+    and tagged stabilizer generators contribute zero.
     """
     total = [0] * (2 * genus)
     for gen in word:
@@ -146,8 +145,6 @@ def homology_trace(word: Sequence[BraidGenerator], genus: int) -> tuple[int, ...
                     f"homology label length {len(label)} != 2g = {2 * genus}")
             for k, v in enumerate(label):
                 total[k] += gen.exponent * v
-        elif gen.kind in (MERIDIAN, BOUNDARY, STABILIZER, HALFTWIST):
-            pass
     return tuple(total)
 
 
@@ -229,20 +226,24 @@ def correction_plan(
 def parse_word(text: str) -> list[BraidGenerator]:
     gens = []
     for chunk in text.replace("*", " ").split():
-        body, _, exp = chunk.partition("^")
-        exponent = int(exp) if exp else 1
+        body, caret, exp = chunk.partition("^")
         if not (len(body) >= 3 and body[1] == "(" and body.endswith(")")):
             raise InconsistentInputError(f"cannot parse generator {chunk!r}")
         kind, args = body[0], body[2:-1]
-        if kind == "m":
-            i, j = (int(x) for x in args.split(","))
-            gens.append(meridian(i, j, exponent))
-        elif kind == "b":
-            gens.append(boundary_twist(int(args), exponent))
-        elif kind == "s":
-            gens.append(stabilizer_element(args, exponent))
-        else:
-            raise InconsistentInputError(f"unknown generator kind {kind!r}")
+        try:
+            exponent = int(exp) if caret else 1
+            if kind == "m":
+                i, j = (int(x) for x in args.split(","))
+                gens.append(meridian(i, j, exponent))
+            elif kind == "b":
+                gens.append(boundary_twist(int(args), exponent))
+            elif kind == "s":
+                gens.append(stabilizer_element(args, exponent))
+            else:
+                raise InconsistentInputError(f"unknown generator kind {kind!r}")
+        except ValueError:
+            raise InconsistentInputError(
+                f"cannot parse generator {chunk!r}") from None
     return gens
 
 

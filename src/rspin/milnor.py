@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     InconsistentInputError,
@@ -153,11 +154,22 @@ def _quotient_monomials(f: PlaneGerm, n: int) -> Optional[list[Monomial]]:
 
     # Staircase stability: the standard set must be exactly the complement
     # of the monomial ideal generated by the pivot leading monomials.
-    complement = {m for m in columns
-                  if not any(p[0] <= m[0] and p[1] <= m[1] for p in pivot_monos)}
-    if standard != complement:
+    if standard != _staircase_complement(pivot_monos, n):
         return None
     return grlex_sorted(standard)
+
+
+def _staircase_complement(generators: Iterable[Monomial], n: int) -> set[Monomial]:
+    """Monomials of degree <= n outside the ideal the generators span, O(n^2).
+
+    lowest[a] is the least j over generators (i, j) with i <= a, so (a, b)
+    lies in the ideal iff b >= lowest[a].  Generators have degree <= n.
+    """
+    lowest = [n + 1] * (n + 1)
+    for i, j in generators:
+        lowest[i] = min(lowest[i], j)
+    lowest = list(accumulate(lowest, min))
+    return {(a, b) for a in range(n + 1) for b in range(min(lowest[a], n + 1 - a))}
 
 
 def milnor_number(f: PlaneGerm, ceiling: int = DEGREE_CEILING) -> MilnorResult:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rspin.braidcalc import (
+    BraidGenerator,
     boundary_twist,
     correction_plan,
     homology_trace,
@@ -14,7 +15,7 @@ from rspin.braidcalc import (
     render_word,
     stabilizer_element,
 )
-from rspin.errors import InconsistentInputError, ParityError
+from rspin.errors import InconsistentInputError, ParityError, UnsupportedTypeError
 
 
 def test_psi_on_generators():
@@ -54,6 +55,11 @@ def test_psi_rejects_undeclared_kinds():
         psi([meridian(1, 2)], 2)  # d < 3
     with pytest.raises(InconsistentInputError):
         psi([meridian(1, 9)], 6)  # out of range
+
+
+def test_halftwist_is_an_unknown_kind():
+    with pytest.raises(UnsupportedTypeError, match="unknown generator kind 'halftwist'"):
+        BraidGenerator("halftwist", (1, 2))
 
 
 def test_in_stabilizer():

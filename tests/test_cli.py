@@ -211,6 +211,14 @@ def test_truncated_input_line_exit_one(capsys, tmp_path, argv, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("chunk", ["m(1)", "m(1,x)", "m(1,2)^x", "b(q)", "m(1,2,3)",
+                                   "m(1,2)^"])
+def test_psi_malformed_generator_exit_one(capsys, chunk):
+    code, out, err = run(capsys, "psi", f"m(1,2) {chunk}", "--d", "6")
+    assert code == 1 and out == ""
+    assert err == f"error: cannot parse generator {chunk!r}\n"
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from rspin.errors import InconsistentInputError, NonIsolatedError, UnsupportedTypeError
 from rspin.milnor import (
     PlaneGerm,
+    _staircase_complement,
     jacobian,
     jet_requirement,
     milnor_number,
@@ -73,6 +76,23 @@ def test_staircase_property():
         for (a, b) in ((i - 1, j), (i, j - 1)):
             if a >= 0 and b >= 0:
                 assert (a, b) in basis  # complement of a monomial ideal
+
+
+def _brute_complement(generators, n):
+    """Monomials of degree <= n divisible by no generator, by checking each pair."""
+    return {(a, b) for a in range(n + 1) for b in range(n + 1 - a)
+            if not any(i <= a and j <= b for i, j in generators)}
+
+
+def test_staircase_complement_against_brute_force():
+    rng = random.Random(23)
+    for n in range(13):
+        triangle = [(a, b) for a in range(n + 1) for b in range(n + 1 - a)]
+        for _ in range(60):
+            size = rng.randint(0, rng.choice((min(n + 2, len(triangle)), len(triangle))))
+            generators = set(rng.sample(triangle, size))
+            assert _staircase_complement(generators, n) == \
+                _brute_complement(generators, n), (n, sorted(generators))
 
 
 def test_non_isolated_errors():
