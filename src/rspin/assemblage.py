@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .curveconf import (
     CurveSystem,
@@ -43,6 +43,7 @@ from .errors import (
     InconsistentStepError,
     InternalInconsistencyError,
     UnknownComponentError,
+    int_token,
 )
 from .picard import (
     DivisorClass,
@@ -57,16 +58,7 @@ from .picard import (
 from .winding import reduce_residue, residues_equal
 
 
-@dataclass(frozen=True)
-class AssemblageStep:
-    """One 1-handle attachment.
-
-    split: the attaching arc starts and ends on `component`, replacing its
-    value v by the declared pair (v1, v2) with v1 + v2 = v - 1.
-    merge: the arc joins `component` and `other`, replacing values (v1, v2)
-    by the declared value v = v1 + v2 - 1.
-    """
-
+class _StepFields(NamedTuple):
     curve: str
     mode: str  # "split" | "merge"
     component: str
@@ -75,23 +67,47 @@ class AssemblageStep:
     new_values: tuple[int, ...] = ()
     curve_winding: int = 0
 
-    def __post_init__(self):
-        if self.mode == "split":
-            if len(self.new_names) != 2 or len(self.new_values) != 2:
+
+class AssemblageStep(_StepFields):
+    """One 1-handle attachment, an immutable record.
+
+    split: the attaching arc starts and ends on `component`, replacing its
+    value v by the declared pair (v1, v2) with v1 + v2 = v - 1.
+    merge: the arc joins `component` and `other`, replacing values (v1, v2)
+    by the declared value v = v1 + v2 - 1.
+
+    A named tuple rather than a frozen dataclass: explicit assemblages hold
+    one record per step, and building and unpacking a tuple costs a fraction
+    of a dataclass.  `_replace` validates like the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, curve: str, mode: str, component: str, other: str = "",
+                new_names: tuple[str, ...] = (), new_values: tuple[int, ...] = (),
+                curve_winding: int = 0):
+        if mode == "split":
+            if len(new_names) != 2 or len(new_values) != 2:
                 raise InconsistentInputError(
-                    f"step {self.curve}: split needs two new names and values")
-            if self.new_names[0] == self.new_names[1]:
+                    f"step {curve}: split needs two new names and values")
+            if new_names[0] == new_names[1]:
                 raise InconsistentInputError(
-                    f"step {self.curve}: split needs two distinct new names")
-        elif self.mode == "merge":
-            if not self.other:
+                    f"step {curve}: split needs two distinct new names")
+        elif mode == "merge":
+            if not other:
                 raise InconsistentInputError(
-                    f"step {self.curve}: merge needs a second component")
-            if len(self.new_names) != 1 or len(self.new_values) != 1:
+                    f"step {curve}: merge needs a second component")
+            if len(new_names) != 1 or len(new_values) != 1:
                 raise InconsistentInputError(
-                    f"step {self.curve}: merge needs one new name and value")
+                    f"step {curve}: merge needs one new name and value")
         else:
-            raise InconsistentInputError(f"unknown step mode {self.mode!r}")
+            raise InconsistentInputError(f"unknown step mode {mode!r}")
+        return tuple.__new__(cls, (curve, mode, component, other, new_names,
+                                   new_values, curve_winding))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "AssemblageStep":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -145,44 +161,41 @@ def _fold(state: AssemblageState, steps: Iterable[AssemblageStep]) -> Assemblage
         raise InconsistentInputError("boundary names must be distinct")
     genus, total = state.genus, sum(values.values())
     coherent = state.is_coherent()
-    for step in steps:
-        component = step.component
+    for curve, mode, component, other, names, declared, _ in steps:
         if component not in values:
             raise UnknownComponentError(f"no boundary component {component!r}")
-        if step.mode == "split":
+        if mode == "split":
             old = values[component]
-            raw1, raw2 = step.new_values
+            raw1, raw2 = declared
             v1, v2 = reduce_residue(raw1, r), reduce_residue(raw2, r)
             if not residues_equal(v1 + v2, old - 1, r):
                 raise InconsistentStepError(
-                    f"step {step.curve}: split values {step.new_values} must sum to "
-                    f"{old} - 1")
-            n1, n2 = step.new_names
-            for n in (n1, n2):
+                    f"step {curve}: split values {declared} must sum to {old} - 1")
+            n1, n2 = names
+            for n in names:
                 if n in values and n != component:
                     raise InconsistentStepError(f"boundary name {n!r} already in use")
             del values[component]
             values[n1], values[n2] = v1, v2
             total += v1 + v2 - old
         else:
-            other = step.other
             if other not in values:
                 raise UnknownComponentError(f"no boundary component {other!r}")
             if other == component:
                 raise InconsistentStepError(
-                    f"step {step.curve}: merge needs two distinct components")
+                    f"step {curve}: merge needs two distinct components")
             v1, v2 = values[component], values[other]
-            declared = reduce_residue(step.new_values[0], r)
-            if not residues_equal(declared, v1 + v2 - 1, r):
+            (raw,) = declared
+            merged = reduce_residue(raw, r)
+            if not residues_equal(merged, v1 + v2 - 1, r):
                 raise InconsistentStepError(
-                    f"step {step.curve}: merge value {step.new_values[0]} must equal "
-                    f"{v1} + {v2} - 1")
-            (name,) = step.new_names
+                    f"step {curve}: merge value {raw} must equal {v1} + {v2} - 1")
+            (name,) = names
             if name in values and name != component and name != other:
                 raise InconsistentStepError(f"boundary name {name!r} already in use")
             del values[component], values[other]
-            values[name] = declared
-            total += declared - v1 - v2
+            values[name] = merged
+            total += merged - v1 - v2
             genus += 1
         if coherent:
             chi = 2 - 2 * genus - len(values)
@@ -283,8 +296,8 @@ def _judge(
         ambient_genus_ok=ambient[0] >= 5,
         boundary_ok=state.b >= 1,
         filling=(state.genus, state.b) == tuple(ambient),
-        windings_zero=all(residues_equal(s.curve_winding, 0, state.modulus)
-                          for s in steps),
+        windings_zero=all(residues_equal(w, 0, state.modulus)
+                          for w in {s.curve_winding for s in steps}),
     )
     return FramingCertificate(
         core_genus=report.genus,
@@ -666,14 +679,6 @@ def _fields(parts: list[str], line: str, form: str) -> list[str]:
     return parts[1:]
 
 
-def _int(token: str, line: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise InconsistentInputError(
-            f"expected an integer, got {token!r} in {line!r}") from None
-
-
 def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
     modulus = 0
     ambient = None
@@ -682,25 +687,60 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
     steps: list[AssemblageStep] = []
     config_lines: list[str] = []
     in_config = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+    for line in text.splitlines():
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split()
+        if not parts:
             continue
+        head = parts[0]
+        if head == "step" and not in_config:
+            # Step lines are nearly all of a long file: split once, and quote
+            # the line (comment and trailing blanks stripped) only on error.
+            n = len(parts)
+            mode = parts[2] if n > 2 else ""
+            if mode == "split" and n == 8:
+                _, curve, _, old, n1, v1, n2, v2 = parts
+                try:
+                    new_values = (int(v1), int(v2))
+                except ValueError:
+                    line = line.rstrip()
+                    new_values = (int_token(v1, line), int_token(v2, line))
+                steps.append(AssemblageStep(curve, mode, old, "", (n1, n2), new_values))
+            elif mode == "merge" and n == 7:
+                _, curve, _, b1, b2, new, v = parts
+                try:
+                    new_value = int(v)
+                except ValueError:
+                    new_value = int_token(v, line.rstrip())
+                steps.append(AssemblageStep(curve, mode, b1, b2, (new,), (new_value,)))
+            elif n < 3:
+                raise InconsistentInputError(f"malformed step line {line.rstrip()!r}")
+            elif mode == "split":
+                raise InconsistentInputError(
+                    f"split step needs: step <curve> split <old> <n1> <v1> "
+                    f"<n2> <v2>; got {line.rstrip()!r}")
+            elif mode == "merge":
+                raise InconsistentInputError(
+                    f"merge step needs: step <curve> merge <b1> <b2> <new> "
+                    f"<v>; got {line.rstrip()!r}")
+            else:
+                raise InconsistentInputError(f"unknown step mode {mode!r}")
+            continue
+        line = line.rstrip()
         if in_config:
-            if line.strip() == "end":
+            if parts == ["end"]:
                 in_config = False
                 core = parse_curve_system("\n".join(config_lines))
             else:
                 config_lines.append(line)
             continue
-        parts = line.split()
-        head = parts[0]
         if head == "modulus":
             (r,) = _fields(parts, line, "modulus <r>")
-            modulus = _int(r, line)
+            modulus = int_token(r, line)
         elif head == "ambient":
             g, b = _fields(parts, line, "ambient <genus> <boundary>")
-            ambient = (_int(g, line), _int(b, line))
+            ambient = (int_token(g, line), int_token(b, line))
         elif head == "core":
             spec = parts[1] if len(parts) > 1 else ""
             if spec == "e6a7":
@@ -708,7 +748,7 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
                 core = e6_a7_core()
             elif spec == "chain":
                 _, n = _fields(parts, line, "core chain <n>")
-                core = chain(_int(n, line))
+                core = chain(int_token(n, line))
             elif spec == "dynkin":
                 _, kind = _fields(parts, line, "core dynkin <type>")
                 core = dynkin(kind)
@@ -722,30 +762,7 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
                     f"got {line!r}")
         elif head == "boundary":
             name, value = _fields(parts, line, "boundary <name> <value>")
-            values.append((name, _int(value, line)))
-        elif head == "step":
-            if len(parts) < 3:
-                raise InconsistentInputError(f"malformed step line {line!r}")
-            curve, mode = parts[1], parts[2]
-            if mode == "split":
-                if len(parts) != 8:
-                    raise InconsistentInputError(
-                        f"split step needs: step <curve> split <old> <n1> <v1> "
-                        f"<n2> <v2>; got {line!r}")
-                steps.append(AssemblageStep(
-                    curve, "split", parts[3],
-                    new_names=(parts[4], parts[6]),
-                    new_values=(_int(parts[5], line), _int(parts[7], line))))
-            elif mode == "merge":
-                if len(parts) != 7:
-                    raise InconsistentInputError(
-                        f"merge step needs: step <curve> merge <b1> <b2> <new> "
-                        f"<v>; got {line!r}")
-                steps.append(AssemblageStep(
-                    curve, "merge", parts[3], other=parts[4],
-                    new_names=(parts[5],), new_values=(_int(parts[6], line),)))
-            else:
-                raise InconsistentInputError(f"unknown step mode {mode!r}")
+            values.append((name, int_token(value, line)))
         else:
             raise InconsistentInputError(f"unrecognized assemblage line {line!r}")
     if core is None:

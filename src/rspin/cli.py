@@ -18,7 +18,7 @@ from . import curveconf
 from . import milnor as milnormod
 from . import picard
 from . import winding as windmod
-from .errors import DomainError, InconsistentInputError
+from .errors import DomainError, InconsistentInputError, int_token
 
 
 def _coords(text: str) -> tuple[int, ...]:
@@ -208,7 +208,7 @@ def _parse_winding_file(text: str):
                 raise InconsistentInputError(
                     f"context line needs 'context <genus> <boundary> <modulus>'; "
                     f"got {line!r}")
-            g, b, r = int(parts[1]), int(parts[2]), int(parts[3])
+            g, b, r = (int_token(t, line) for t in parts[1:])
             ctx = windmod.WindingContext(r, g, tuple(f"bd{i}" for i in range(1, b + 1)))
         elif parts[0] == "curve":
             if ctx is None:
@@ -219,16 +219,17 @@ def _parse_winding_file(text: str):
                 raise InconsistentInputError(
                     f"curve line needs 'curve <name> : <class> : <value>'; got {line!r}")
             name = bits[0]
-            hclass = tuple(int(x) for x in bits[1].split())
+            hclass = tuple(int_token(x, line) for x in bits[1].split())
             if len(hclass) != ctx.class_length:
                 raise InconsistentInputError(
                     f"curve {name}: class needs {ctx.class_length} entries")
-            curves[name] = windmod.HomologyCurve(name, hclass, int(bits[2]))
+            value = int_token(bits[2], line)
+            curves[name] = windmod.HomologyCurve(name, hclass, value)
         elif parts[0] == "word":
             letters = []
             for chunk in parts[1:]:
                 body, _, exp = chunk.partition("^")
-                letters.append((body, int(exp) if exp else 1))
+                letters.append((body, int_token(exp, line) if exp else 1))
             word = windmod.TwistWord(letters)
         else:
             raise InconsistentInputError(f"unrecognized winding line {line!r}")

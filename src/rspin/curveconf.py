@@ -24,6 +24,7 @@ from .errors import (
     NotSimpleError,
     RibbonError,
     UnsupportedTypeError,
+    int_token,
 )
 
 
@@ -390,7 +391,7 @@ def parse_curve_system(text: str) -> CurveSystem:
         elif head == "ambient":
             if len(parts) != 3:
                 raise InconsistentInputError("ambient needs genus and boundary count")
-            ambient = (int(parts[1]), int(parts[2]))
+            ambient = (int_token(parts[1], line), int_token(parts[2], line))
             mode = None
         elif head == "intersections":
             mode = "intersections"
@@ -403,7 +404,7 @@ def parse_curve_system(text: str) -> CurveSystem:
             if len(parts) not in (3, 4):
                 raise InconsistentInputError(
                     f"intersection line {line!r} needs: id curve curve [sign]")
-            sign = int(parts[3]) if len(parts) == 4 else 1
+            sign = int_token(parts[3], line) if len(parts) == 4 else 1
             xs.append(Crossing(parts[0], (parts[1], parts[2]), sign))
         else:
             raise InconsistentInputError(f"unrecognized configuration line {line!r}")

@@ -2,6 +2,8 @@
 
 All domain failures derive from DomainError so the CLI can map them to
 exit status 1 uniformly; usage errors are argparse's business (status 2).
+The text parsers read integers through `int_token`, so a bad token is an
+InconsistentInputError that quotes it, not Python's ValueError.
 """
 
 
@@ -67,3 +69,12 @@ class NonIsolatedError(DomainError):
 
 class InternalInconsistencyError(DomainError):
     """An invariant that must hold by construction failed; a bug if raised."""
+
+
+def int_token(token: str, line: str) -> int:
+    """`int(token)`, or an InconsistentInputError quoting the token and its line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise InconsistentInputError(
+            f"expected an integer, got {token!r} in {line!r}") from None

@@ -2,15 +2,16 @@
 
 The Milnor number is the dimension of C[[x,y]] / (f_x, f_y).  It is computed
 by exact linear algebra: assemble the matrix of all monomial multiples of the
-two partials up to total degree N, row reduce over Q, and count the standard
-monomials (non-pivot columns) under graded lex order.  N is increased until
-two consecutive degrees agree and the standard set is the complement of a
-monomial staircase; a hard ceiling converts non-isolated singularities into
-a clean error.
+two partials up to total degree N, row reduce it over the integers without
+fractions, and count the standard monomials (non-pivot columns) under graded
+lex order.  N is increased until two consecutive degrees agree and the
+standard set is the complement of a monomial staircase; a hard ceiling
+converts non-isolated singularities into a clean error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -77,11 +78,6 @@ class PlaneGerm:
         return out
 
 
-def grlex_sorted(monomials) -> list[Monomial]:
-    """Ascending graded lex with x > y: 1, x, y, x^2, xy, y^2, ..."""
-    return sorted(monomials, key=lambda m: (m[0] + m[1], -m[0]))
-
-
 def jacobian(f: PlaneGerm) -> tuple[PlaneGerm, PlaneGerm]:
     """Formal partial derivatives (f_x, f_y)."""
     fx = {(i - 1, j): c * i for (i, j), c in f.terms.items() if i > 0}
@@ -104,8 +100,15 @@ class MilnorResult:
         return out
 
 
+def _integer_terms(g: PlaneGerm) -> dict[Monomial, int]:
+    """The terms of g scaled by the lcm of their denominators: same ideal, over Z."""
+    scale = math.lcm(*(c.denominator for c in g.terms.values()))
+    return {m: int(c * scale) for m, c in g.terms.items()}
+
+
 def _quotient_monomials(f: PlaneGerm, n: int) -> Optional[list[Monomial]]:
-    """Standard monomials of the quotient truncated at degree n.
+    """Standard monomials of the quotient truncated at degree n, in ascending
+    graded lex order with x > y (1, x, y, x^2, xy, y^2, ...).
 
     Works modulo m^{n+1}: every monomial multiple of the two partials (any
     multiplier of degree <= n) is truncated to degree <= n and row reduced.
@@ -113,50 +116,61 @@ def _quotient_monomials(f: PlaneGerm, n: int) -> Optional[list[Monomial]]:
     repeat value at n+1 certifies the Jacobian ideal has been saturated.
     Returns None when the standard set is not the complement of the
     monomial staircase of the pivots (not yet stable).
+
+    Elimination is fraction-free: each partial is scaled to integer
+    coefficients, and a row is reduced against a pivot row by integer
+    cross-multiplication.  The rows span the same space over Q as the
+    rational elimination's, so the pivot columns (the leading monomials of
+    that space) are the same.
     """
-    fx, fy = jacobian(f)
-    columns = grlex_sorted((i, j) for i in range(n + 1) for j in range(n + 1 - i))
-    columns.reverse()  # leading (grlex-largest) first
+    # Descending graded lex with x > y, so the leading monomial comes first.
+    columns = [(i, d - i) for d in range(n, -1, -1) for i in range(d + 1)]
     col_index = {m: k for k, m in enumerate(columns)}
 
-    rows: list[dict[int, Fraction]] = []
-    for g in (fx, fy):
+    rows: list[dict[int, int]] = []
+    for g in jacobian(f):
         if g.is_zero():
             continue
+        terms = _integer_terms(g).items()
         for a in range(n + 1):
             for b in range(n + 1 - a):
                 row = {col_index[(i + a, j + b)]: c
-                       for (i, j), c in g.terms.items() if i + a + j + b <= n}
+                       for (i, j), c in terms if i + a + j + b <= n}
                 if row:
                     rows.append(row)
 
-    pivot_rows: dict[int, dict[int, Fraction]] = {}
+    pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
         while row:
             lead = min(row)
-            if lead not in pivot_rows:
+            pivot = pivot_rows.get(lead)
+            if pivot is None:
+                pivot_rows[lead] = row
                 break
-            factor = row.pop(lead)
-            for k, v in pivot_rows[lead].items():
-                if k == lead:
-                    continue
-                new = row.get(k, Fraction(0)) - factor * v
-                if new:
-                    row[k] = new
-                else:
-                    row.pop(k, None)
-        if row:
-            lead = min(row)
-            inv = row[lead]
-            pivot_rows[lead] = {k: v / inv for k, v in row.items()}
+            # row <- p * row - c * pivot, with c / p the two leading
+            # coefficients in lowest terms, clears the lead.
+            c = row.pop(lead)
+            p = pivot[lead]
+            g = math.gcd(c, p)
+            c, p = c // g, p // g
+            if p != 1:
+                for k in row:
+                    row[k] *= p
+            for k, v in pivot.items():
+                if k != lead:
+                    new = row.get(k, 0) - c * v
+                    if new:
+                        row[k] = new
+                    else:
+                        del row[k]
     pivot_monos = {columns[p] for p in pivot_rows}
-    standard = {m for m in columns if m not in pivot_monos}
+    standard = [m for m in reversed(columns) if m not in pivot_monos]
 
     # Staircase stability: the standard set must be exactly the complement
     # of the monomial ideal generated by the pivot leading monomials.
-    if standard != _staircase_complement(pivot_monos, n):
+    if set(standard) != _staircase_complement(pivot_monos, n):
         return None
-    return grlex_sorted(standard)
+    return standard
 
 
 def _staircase_complement(generators: Iterable[Monomial], n: int) -> set[Monomial]:

@@ -189,7 +189,7 @@ def test_certify_flags():
     assert cert.filling and not cert.core_genus_ok and not cert.verdict
     # Nonzero curve winding blocks the verdict.
     asm, _ = smoothing_assemblage(10, 0, 6)
-    first = dataclasses.replace(asm.steps[0], curve_winding=1)
+    first = asm.steps[0]._replace(curve_winding=1)
     bad = Assemblage(asm.core, (first,) + asm.steps[1:], asm.ambient)
     cert = certify(bad, CORE_VALUES)
     assert not cert.windings_zero and not cert.verdict
@@ -299,11 +299,93 @@ def test_parse_assemblage_round_trip():
     "modulus", "modulus 0 1", "modulus x", "ambient 7", "ambient 7 2 1",
     "ambient 7 b", "core", "core chain", "core e6a7 extra", "core dynkin",
     "boundary dC", "boundary dC x", "step t5 merge dC dD j1 x",
+    "step", "step t5", "step t5 split dC a -5 b", "step t5 split dC a x b -5",
 ])
 def test_parse_assemblage_rejects_malformed_line(line):
     text = "ambient 7 2\ncore e6a7\nboundary dC -9\nboundary dD -3\n"
     with pytest.raises(InconsistentInputError, match=re.escape(repr(line))):
         parse_assemblage(text + line + "\n")
+
+
+_HEADER = "ambient 7 2\ncore e6a7\nboundary dC -9\nboundary dD -3\n"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("step", "malformed step line 'step'"),
+    ("step t5", "malformed step line 'step t5'"),
+    ("step t5 split dC a -5 b",
+     "split step needs: step <curve> split <old> <n1> <v1> <n2> <v2>; "
+     "got 'step t5 split dC a -5 b'"),
+    ("step t5 merge dC dD j1 -13 9",
+     "merge step needs: step <curve> merge <b1> <b2> <new> <v>; "
+     "got 'step t5 merge dC dD j1 -13 9'"),
+    ("step t5 split dC a -5 b x  # note",
+     "expected an integer, got 'x' in 'step t5 split dC a -5 b x'"),
+    ("step t5 merge dC dD j1 1.5", "expected an integer, got '1.5' in "
+     "'step t5 merge dC dD j1 1.5'"),
+    ("step t5 split dC a -5 a -5", "step t5: split needs two distinct new names"),
+    ("step t5 twist dC", "unknown step mode 'twist'"),
+    ("step t5 twist dC dD j1 -13", "unknown step mode 'twist'"),
+])
+def test_parse_assemblage_step_messages(line, message):
+    with pytest.raises(InconsistentInputError) as exc:
+        parse_assemblage(_HEADER + line + "\n")
+    assert str(exc.value) == message
+
+
+def test_parse_assemblage_layout():
+    # Comments, tabs, blank and whitespace-only lines and CRLF endings parse
+    # to the same assemblage as the plain layout.
+    plain = _HEADER + "step t5 merge dC dD j1 -13\nstep delta5 split j1 dC2 -10 dD2 -4\n"
+    messy = ("# a two-step assemblage\r\n\r\n  ambient\t7 2   \r\ncore e6a7 # the core\r\n"
+             "\t\r\nboundary dC -9\r\nboundary dD\t-3\r\n"
+             "step\tt5 merge dC dD j1 -13#merge\r\n"
+             "   step delta5 split j1 dC2 -10 dD2 -4   \r\n# done")
+    (asm, values), (again, again_values) = parse_assemblage(messy), parse_assemblage(plain)
+    assert (again.steps, again.ambient, again.modulus, again_values) == \
+        (asm.steps, asm.ambient, asm.modulus, values)
+    assert again.core.curves == asm.core.curves
+    assert asm.steps == (
+        AssemblageStep("t5", "merge", "dC", "dD", ("j1",), (-13,)),
+        AssemblageStep("delta5", "split", "j1", "", ("dC2", "dD2"), (-10, -4)))
+    assert values == [("dC", -9), ("dD", -3)]
+    # A step line inside an inline core block belongs to the block.
+    inline = ("ambient 1 1\ncore inline\n  curves a b  # two curves\r\n"
+              "  intersections\n  x a b\n  end  \nboundary d -1\n")
+    with pytest.raises(InconsistentInputError,
+                       match="intersection line 'step t5' needs"):
+        parse_assemblage(inline.replace("  end", "step t5\nend"))
+    asm, values = parse_assemblage(inline)
+    assert asm.core.curves == ("a", "b") and asm.steps == () and values == [("d", -1)]
+
+
+def test_step_record_is_validated_hashable_and_immutable():
+    step = AssemblageStep("t5", "merge", "dC", other="dD", new_names=("j1",),
+                          new_values=(-13,))
+    assert AssemblageStep._fields == ("curve", "mode", "component", "other",
+                                      "new_names", "new_values", "curve_winding")
+    assert step.curve_winding == 0 and step.other == "dD"
+    twin = AssemblageStep("t5", "merge", "dC", "dD", ("j1",), (-13,), 0)
+    assert step == twin and hash(step) == hash(twin) and len({step, twin}) == 1
+    with pytest.raises(AttributeError):
+        step.curve_winding = 1
+    with pytest.raises(AttributeError):
+        step.extra = 1
+    assert step._replace(curve_winding=2).curve_winding == 2
+    for bad, message in [
+        (dict(mode="twist"), "unknown step mode 'twist'"),
+        (dict(other=""), "step t5: merge needs a second component"),
+        (dict(new_values=(1, 2)), "step t5: merge needs one new name and value"),
+        (dict(mode="split"), "step t5: split needs two new names and values"),
+        (dict(mode="split", new_names=("a", "a"), new_values=(0, 0)),
+         "step t5: split needs two distinct new names"),
+    ]:
+        with pytest.raises(InconsistentInputError) as exc:
+            step._replace(**bad)
+        assert str(exc.value) == message
+        with pytest.raises(InconsistentInputError) as again:
+            AssemblageStep(**{**step._asdict(), **bad})
+        assert str(again.value) == message
 
 
 # -- the staged fold against the explicit fold -------------------------------
@@ -373,8 +455,8 @@ def _first_step(edit):
 
 @pytest.mark.parametrize("index", [0, 1, 2])
 def test_staged_fold_rejects_corrupted_pattern_value(monkeypatch, index):
-    bump = _first_step(lambda step: dataclasses.replace(
-        step, new_values=(step.new_values[0] + 1,) + step.new_values[1:]))
+    bump = _first_step(lambda step: step._replace(
+        new_values=(step.new_values[0] + 1,) + step.new_values[1:]))
     _with_stage_pattern(monkeypatch, index, bump)
     lat, ledger = catalog_lattice("P2")
     with pytest.raises(InconsistentStepError):
@@ -394,7 +476,7 @@ def test_staged_fold_rejects_wrong_stage_shift(monkeypatch, index):
 
 
 def test_staged_fold_nonzero_curve_winding(monkeypatch):
-    wind = _first_step(lambda step: dataclasses.replace(step, curve_winding=2))
+    wind = _first_step(lambda step: step._replace(curve_winding=2))
     _with_stage_pattern(monkeypatch, 2, wind)
     lat, ledger = catalog_lattice("P2")
     doc = monodromy_report(lat.divisor((7,)), lat.divisor((3,)), ledger)
@@ -683,3 +765,29 @@ def test_certify_100k_steps_is_fast():
     elapsed = time.perf_counter() - start
     assert cert.verdict and sorted(cert.values()) == sorted(expected)
     assert elapsed < 0.3, f"certify on 100,000 steps took {elapsed:.2f}s"
+
+
+def _step_line(step):
+    if step.mode == "split":
+        (n1, n2), (v1, v2) = step.new_names, step.new_values
+        return f"step {step.curve} split {step.component} {n1} {v1} {n2} {v2}"
+    return (f"step {step.curve} merge {step.component} {step.other} "
+            f"{step.new_names[0]} {step.new_values[0]}")
+
+
+def test_parse_and_certify_100k_step_file_is_fast():
+    # The same 100,000 steps as a file.  On a 2-vCPU Xeon VM parse + certify
+    # took about 0.7 s with a frozen-dataclass step record and a parse that
+    # split every line twice; with a named-tuple record, about 0.45 s.
+    asm, expected = smoothing_assemblage(25003, 0, 25004)
+    text = "\n".join(["ambient %d %d" % asm.ambient, "core e6a7"]
+                     + [f"boundary {n} {v}" for n, v in CORE_VALUES]
+                     + [_step_line(step) for step in asm.steps]) + "\n"
+    del asm
+    start = time.perf_counter()
+    parsed, values = parse_assemblage(text)
+    cert = certify(parsed, values)
+    elapsed = time.perf_counter() - start
+    assert len(parsed.steps) == 100_000
+    assert cert.verdict and sorted(cert.values()) == sorted(expected)
+    assert elapsed < 0.9, f"parse + certify of 100,000 steps took {elapsed:.2f}s"

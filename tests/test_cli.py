@@ -211,6 +211,30 @@ def test_truncated_input_line_exit_one(capsys, tmp_path, argv, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,text,line,token", [
+    (("winding", "act", "FILE"), "context 1 0 x\ncurve a : 1 0 : 0\n",
+     "context 1 0 x", "x"),
+    (("winding", "act", "FILE"), "context 1 0 4\ncurve a : 1 q : 0  # class\n",
+     "curve a : 1 q : 0", "q"),
+    (("winding", "act", "FILE"), "context 1 0 4\ncurve a : 1 0 : 2.5\n",
+     "curve a : 1 0 : 2.5", "2.5"),
+    (("winding", "act", "FILE"), "context 1 0 4\ncurve a : 1 0 : 0\nword a^x\n",
+     "word a^x", "x"),
+    (("config", "analyze", "FILE"), "curves a b\nambient 1 one\nintersections\nx a b\n",
+     "ambient 1 one", "one"),
+    (("config", "analyze", "FILE"), "curves a b\nintersections\nx a b +\n",
+     "x a b +", "+"),
+], ids=["winding-context", "winding-class", "winding-value", "winding-exponent",
+        "config-ambient", "config-sign"])
+def test_non_integer_token_exit_one(capsys, tmp_path, argv, text, line, token):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv),
+                         "--format", "machine")
+    assert code == 1 and out == ""
+    assert err == f"error: expected an integer, got {token!r} in {line!r}\n"
+
+
 @pytest.mark.parametrize("chunk", ["m(1)", "m(1,x)", "m(1,2)^x", "b(q)", "m(1,2,3)",
                                    "m(1,2)^"])
 def test_psi_malformed_generator_exit_one(capsys, chunk):

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import rspin.milnor as milnormod
 from rspin.errors import InconsistentInputError, NonIsolatedError, UnsupportedTypeError
 from rspin.milnor import (
     PlaneGerm,
+    _quotient_monomials,
     _staircase_complement,
     jacobian,
     jet_requirement,
@@ -93,6 +96,103 @@ def test_staircase_complement_against_brute_force():
             generators = set(rng.sample(triangle, size))
             assert _staircase_complement(generators, n) == \
                 _brute_complement(generators, n), (n, sorted(generators))
+
+
+def _grlex_sorted(monomials):
+    """Ascending graded lex with x > y: 1, x, y, x^2, xy, y^2, ..."""
+    return sorted(monomials, key=lambda m: (m[0] + m[1], -m[0]))
+
+
+def _rational_quotient_monomials(f, n):
+    """Reference elimination over Q, pivot rows normalised to a leading 1."""
+    fx, fy = jacobian(f)
+    columns = _grlex_sorted((i, j) for i in range(n + 1) for j in range(n + 1 - i))
+    columns.reverse()
+    col_index = {m: k for k, m in enumerate(columns)}
+    rows = []
+    for g in (fx, fy):
+        for a in range(n + 1):
+            for b in range(n + 1 - a):
+                row = {col_index[(i + a, j + b)]: c
+                       for (i, j), c in g.terms.items() if i + a + j + b <= n}
+                if row:
+                    rows.append(row)
+    pivot_rows = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            if lead not in pivot_rows:
+                break
+            factor = row.pop(lead)
+            for k, v in pivot_rows[lead].items():
+                if k == lead:
+                    continue
+                new = row.get(k, Fraction(0)) - factor * v
+                if new:
+                    row[k] = new
+                else:
+                    row.pop(k, None)
+        if row:
+            lead = min(row)
+            inv = row[lead]
+            pivot_rows[lead] = {k: v / inv for k, v in row.items()}
+    pivot_monos = {columns[p] for p in pivot_rows}
+    standard = {m for m in columns if m not in pivot_monos}
+    if standard != _staircase_complement(pivot_monos, n):
+        return None
+    return _grlex_sorted(standard)
+
+
+def _random_germ(rng):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        i, j = rng.randint(0, 7), rng.randint(0, 7)
+        terms[(i, j)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12))
+    return PlaneGerm(terms)
+
+
+def test_fraction_free_elimination_matches_rational():
+    # Rational and negative coefficients, sparse and dense germs; every
+    # truncation degree up to 14, stable or not.
+    rng = random.Random(41)
+    for _ in range(40):
+        f = _random_germ(rng)
+        for n in range(15):
+            assert _quotient_monomials(f, n) == _rational_quotient_monomials(f, n), (str(f), n)
+
+
+# (y - c x^2)^2 + x^k and (c x - y^3)^2 + y^7, A_{k-1} and A_6: mu is this
+# only for the exact rational coefficients; any other cross term lowers it.
+_EXACT_SQUARES = {"y^2-2/3*x^2*y+1/9*x^4+x^5": 4, "y^2-4/5*x^2*y+4/25*x^4+x^7": 6,
+                  "y^2-2/3*x^2*y+1/9*x^4+2/7*x^6": 5, "4/9*x^2-4/3*x*y^3+y^6+y^7": 6}
+
+
+def _germ_families():
+    for a in range(2, 9):
+        for b in range(a, 17 - a):
+            yield f"x^{a}+y^{b}"
+            yield f"-3/2*x^{a}+5/7*y^{b}"
+    for k in range(1, 13):
+        yield f"x^{k + 1}+y^2"
+    for k in range(4, 13):
+        yield f"x^2*y+y^{k - 1}"
+        yield f"x^2*y-2/3*y^{k - 1}"
+    yield from ("x^3+y^4", "x^3+x*y^3", "x^3+y^5", "-x^3+4*y^5")  # E6, E7, E8
+    yield from _EXACT_SQUARES
+    for a, b, i, j in ((3, 5, 1, 4), (4, 5, 2, 3), (4, 7, 3, 2), (3, 7, 2, 3),
+                       (5, 6, 3, 3), (4, 9, 2, 5)):
+        yield f"x^{a}+y^{b}+3*x^{i}*y^{j}"
+        yield f"x^{a}-y^{b}-7/4*x^{i}*y^{j}"
+
+
+def test_milnor_number_matches_rational_elimination(monkeypatch):
+    germs = [PlaneGerm.parse(text) for text in _germ_families()]
+    fast = [milnor_number(f) for f in germs]
+    monkeypatch.setattr(milnormod, "_quotient_monomials", _rational_quotient_monomials)
+    for f, result in zip(germs, fast):
+        assert result == milnor_number(f), str(f)
+    for text, mu in _EXACT_SQUARES.items():
+        assert milnor_number(PlaneGerm.parse(text)).mu == mu, text
 
 
 def test_non_isolated_errors():
