@@ -44,6 +44,7 @@ from .errors import (
     InternalInconsistencyError,
     UnknownComponentError,
     int_token,
+    read_lines,
 )
 from .picard import (
     DivisorClass,
@@ -563,7 +564,6 @@ def monodromy_report(
     c: DivisorClass,
     d_class: DivisorClass,
     ledger: JetLedger,
-    candidates: Sequence[DivisorClass] = (),
 ) -> ReportDocument:
     """Run the whole pipeline for sections C, D on one lattice.
 
@@ -607,7 +607,7 @@ def monodromy_report(
     }
     warnings: list[str] = []
 
-    splitting = jet_splitting_certificate(l, ledger, candidates)
+    splitting = jet_splitting_certificate(l, ledger)
     if splitting is None:
         quantities["hypothesis"] = "not-certified"
         warnings.append("no certified 6-jet + very-ample splitting found; "
@@ -687,16 +687,11 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
     steps: list[AssemblageStep] = []
     config_lines: list[str] = []
     in_config = False
-    for line in text.splitlines():
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        parts = line.split()
-        if not parts:
-            continue
+    for line, parts in read_lines(text):
         head = parts[0]
         if head == "step" and not in_config:
-            # Step lines are nearly all of a long file: split once, and quote
-            # the line (comment and trailing blanks stripped) only on error.
+            # Step lines are nearly all of a long file: read their values
+            # with int() and quote the line only on error.
             n = len(parts)
             mode = parts[2] if n > 2 else ""
             if mode == "split" and n == 8:
@@ -704,7 +699,6 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
                 try:
                     new_values = (int(v1), int(v2))
                 except ValueError:
-                    line = line.rstrip()
                     new_values = (int_token(v1, line), int_token(v2, line))
                 steps.append(AssemblageStep(curve, mode, old, "", (n1, n2), new_values))
             elif mode == "merge" and n == 7:
@@ -712,22 +706,21 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
                 try:
                     new_value = int(v)
                 except ValueError:
-                    new_value = int_token(v, line.rstrip())
+                    new_value = int_token(v, line)
                 steps.append(AssemblageStep(curve, mode, b1, b2, (new,), (new_value,)))
             elif n < 3:
-                raise InconsistentInputError(f"malformed step line {line.rstrip()!r}")
+                raise InconsistentInputError(f"malformed step line {line!r}")
             elif mode == "split":
                 raise InconsistentInputError(
                     f"split step needs: step <curve> split <old> <n1> <v1> "
-                    f"<n2> <v2>; got {line.rstrip()!r}")
+                    f"<n2> <v2>; got {line!r}")
             elif mode == "merge":
                 raise InconsistentInputError(
                     f"merge step needs: step <curve> merge <b1> <b2> <new> "
-                    f"<v>; got {line.rstrip()!r}")
+                    f"<v>; got {line!r}")
             else:
                 raise InconsistentInputError(f"unknown step mode {mode!r}")
             continue
-        line = line.rstrip()
         if in_config:
             if parts == ["end"]:
                 in_config = False

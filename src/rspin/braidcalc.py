@@ -20,6 +20,7 @@ from .errors import (
     InconsistentInputError,
     ParityError,
     UnsupportedTypeError,
+    power,
 )
 
 MERIDIAN = "meridian"
@@ -183,6 +184,8 @@ def correction_plan(
         raise InconsistentInputError("correction plan needs d >= 6")
     if sum(k) % 2 != 0:
         raise ParityError("input is not in the even-sum subgroup")
+    if len(arc_endpoints) != 2:
+        raise InconsistentInputError("arc endpoints must be two indices i,j")
     i1, i2 = arc_endpoints
     i3 = third
     if len({i1, i2, i3}) != 3 or not all(1 <= x <= d for x in (i1, i2, i3)):
@@ -226,12 +229,12 @@ def correction_plan(
 def parse_word(text: str) -> list[BraidGenerator]:
     gens = []
     for chunk in text.replace("*", " ").split():
-        body, caret, exp = chunk.partition("^")
+        body, exp = power(chunk)
         if not (len(body) >= 3 and body[1] == "(" and body.endswith(")")):
             raise InconsistentInputError(f"cannot parse generator {chunk!r}")
         kind, args = body[0], body[2:-1]
         try:
-            exponent = int(exp) if caret else 1
+            exponent = int(exp)
             if kind == "m":
                 i, j = (int(x) for x in args.split(","))
                 gens.append(meridian(i, j, exponent))

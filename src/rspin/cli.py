@@ -18,7 +18,7 @@ from . import curveconf
 from . import milnor as milnormod
 from . import picard
 from . import winding as windmod
-from .errors import DomainError, InconsistentInputError, int_token
+from .errors import DomainError, InconsistentInputError
 
 
 def _coords(text: str) -> tuple[int, ...]:
@@ -194,50 +194,6 @@ def _cmd_config(args) -> int:
 # -- winding ------------------------------------------------------------------
 
 
-def _parse_winding_file(text: str):
-    ctx = None
-    curves: dict[str, windmod.HomologyCurve] = {}
-    word = windmod.TwistWord([])
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "context":
-            if len(parts) != 4:
-                raise InconsistentInputError(
-                    f"context line needs 'context <genus> <boundary> <modulus>'; "
-                    f"got {line!r}")
-            g, b, r = (int_token(t, line) for t in parts[1:])
-            ctx = windmod.WindingContext(r, g, tuple(f"bd{i}" for i in range(1, b + 1)))
-        elif parts[0] == "curve":
-            if ctx is None:
-                raise InconsistentInputError("context line must come first")
-            body = " ".join(parts[1:])
-            bits = [b.strip() for b in body.split(":")]
-            if len(bits) != 3:
-                raise InconsistentInputError(
-                    f"curve line needs 'curve <name> : <class> : <value>'; got {line!r}")
-            name = bits[0]
-            hclass = tuple(int_token(x, line) for x in bits[1].split())
-            if len(hclass) != ctx.class_length:
-                raise InconsistentInputError(
-                    f"curve {name}: class needs {ctx.class_length} entries")
-            value = int_token(bits[2], line)
-            curves[name] = windmod.HomologyCurve(name, hclass, value)
-        elif parts[0] == "word":
-            letters = []
-            for chunk in parts[1:]:
-                body, _, exp = chunk.partition("^")
-                letters.append((body, int_token(exp, line) if exp else 1))
-            word = windmod.TwistWord(letters)
-        else:
-            raise InconsistentInputError(f"unrecognized winding line {line!r}")
-    if ctx is None:
-        raise InconsistentInputError("winding description needs a context line")
-    return ctx, curves, word
-
-
 def _cmd_winding(args) -> int:
     fmt = args.format
     if args.op == "census":
@@ -247,7 +203,7 @@ def _cmd_winding(args) -> int:
                   f"{census[1]} with Arf 1"], fmt)
         return 0
     with open(args.file, "r", encoding="utf-8") as fh:
-        ctx, curves, word = _parse_winding_file(fh.read())
+        ctx, curves, word = windmod.parse_winding(fh.read())
     q = {"modulus": ctx.modulus, "word": repr(word)}
     human = [f"context: g = {ctx.genus}, b = {len(ctx.boundary)}, "
              f"r = {ctx.modulus}", f"word: {word!r}", ""]
@@ -488,7 +444,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, OSError, ValueError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

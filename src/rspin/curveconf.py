@@ -25,6 +25,7 @@ from .errors import (
     RibbonError,
     UnsupportedTypeError,
     int_token,
+    read_lines,
 )
 
 
@@ -379,11 +380,7 @@ def parse_curve_system(text: str) -> CurveSystem:
     xs: list[Crossing] = []
     ribbon: dict[str, list[str]] = {}
     mode = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for line, parts in read_lines(text):
         head = parts[0]
         if head == "curves":
             curves.extend(parts[1:])

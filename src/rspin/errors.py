@@ -1,10 +1,14 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy shared by every module, and the input rules of the text formats.
 
 All domain failures derive from DomainError so the CLI can map them to
 exit status 1 uniformly; usage errors are argparse's business (status 2).
-The text parsers read integers through `int_token`, so a bad token is an
-InconsistentInputError that quotes it, not Python's ValueError.
+Every file parser reads its text through `read_lines` and its integers
+through `int_token`, so a bad token is an InconsistentInputError that quotes
+the token and its line, not Python's ValueError.  Twist words and braid
+words split `name^e` with `power`.
 """
+
+from typing import Iterator
 
 
 class DomainError(Exception):
@@ -78,3 +82,19 @@ def int_token(token: str, line: str) -> int:
     except ValueError:
         raise InconsistentInputError(
             f"expected an integer, got {token!r} in {line!r}") from None
+
+
+def read_lines(text: str) -> Iterator[tuple[str, list[str]]]:
+    """(line, tokens) per non-blank line: `#` comment cut, both ends stripped."""
+    for line in text.splitlines():
+        if "#" in line:
+            line = line.partition("#")[0]
+        tokens = line.split()
+        if tokens:
+            yield line.strip(), tokens
+
+
+def power(chunk: str) -> tuple[str, str]:
+    """`name^e` as (name, e), a bare `name` as (name, "1"); `name^` leaves e empty."""
+    name, caret, exponent = chunk.partition("^")
+    return name, exponent if caret else "1"

@@ -21,6 +21,7 @@ from .errors import (
     InconsistentInputError,
     NonIsolatedError,
     UnsupportedTypeError,
+    int_token,
 )
 from .curveconf import CurveSystem, chain, dynkin
 
@@ -274,7 +275,7 @@ def _parse_poly(text: str) -> dict[Monomial, Fraction]:
                     pos += 1
                     if pos >= len(tokens) or not tokens[pos].isdigit():
                         raise InconsistentInputError("^ needs an integer exponent")
-                    e = int(tokens[pos])
+                    e = int_token(tokens[pos], text)
                     pos += 1
                 expo[var] += e
             elif tok == "^":

@@ -22,6 +22,8 @@ from .errors import (
     LatticeMismatchError,
     NotRepresentableError,
     UncertifiedError,
+    int_token,
+    read_lines,
 )
 
 
@@ -287,27 +289,20 @@ def _composition_pool(ledger: JetLedger) -> dict[tuple[int, ...], int]:
     return pool
 
 
-def jet_splitting_certificate(
-    l: DivisorClass,
-    ledger: JetLedger,
-    candidates: Sequence[DivisorClass] = (),
-) -> Optional[JetSplitting]:
+def jet_splitting_certificate(l: DivisorClass, ledger: JetLedger) -> Optional[JetSplitting]:
     """Search for L = L1 + L2 with certified jet(L1) >= 6 and jet(L2) >= 1.
 
     Sound, not complete: a None result means "not certified", never
-    "the hypotheses fail".  Candidates are tried first, then every bounded
-    composition of ledger entries.
+    "the hypotheses fail".  Every bounded composition of ledger entries is
+    tried.
     """
-    for cand in candidates:
-        _same_lattice(cand, l)
     pool = _composition_pool(ledger)
 
     def pooled(cls: DivisorClass) -> int:
         return pool.get(cls.coords, 0)
 
-    firsts = [c for c in candidates if pooled(c) >= 6]
-    firsts += sorted((l.lattice.divisor(co) for co, lv in pool.items() if lv >= 6),
-                     key=lambda c: c.coords)
+    firsts = sorted((l.lattice.divisor(co) for co, lv in pool.items() if lv >= 6),
+                    key=lambda c: c.coords)
     for l1 in firsts:
         l2 = l - l1
         if pooled(l2) >= 1:
@@ -480,22 +475,20 @@ _KEYWORDS = {"name", "rank", "gram", "canonical", "jets", "simply_connected"}
 
 
 def parse_lattice(text: str) -> tuple[PicardLattice, JetLedger]:
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.replace(",", " ").split())
+    # Each token keeps its line, so int_token can quote it.
+    tokens = [(token, line) for line, _ in read_lines(text)
+              for token in line.replace(",", " ").split()]
     pos = 0
 
-    def need_int() -> int:
+    def ints(n: int) -> tuple[int, ...]:
+        """The next n tokens (none if n <= 0) as integers, read in order."""
         nonlocal pos
-        if pos >= len(tokens):
+        taken = tokens[pos:pos + max(n, 0)]
+        pos += len(taken)
+        values = tuple(int_token(token, line) for token, line in taken)
+        if len(taken) < n:
             raise InconsistentInputError("unexpected end of lattice description")
-        tok = tokens[pos]
-        pos += 1
-        try:
-            return int(tok)
-        except ValueError:
-            raise InconsistentInputError(f"expected integer, got {tok!r}") from None
+        return values
 
     name = ""
     rank = None
@@ -504,31 +497,31 @@ def parse_lattice(text: str) -> tuple[PicardLattice, JetLedger]:
     simply_connected = True
     jets: list[tuple[tuple[int, ...], int]] = []
     while pos < len(tokens):
-        key = tokens[pos]
+        key = tokens[pos][0]
         pos += 1
         if key == "name":
             if pos >= len(tokens):
                 raise InconsistentInputError("lattice description ends after 'name'")
-            name = tokens[pos]
+            name = tokens[pos][0]
             pos += 1
         elif key == "rank":
-            rank = need_int()
+            (rank,) = ints(1)
         elif key == "simply_connected":
-            simply_connected = bool(need_int())
+            simply_connected = bool(ints(1)[0])
         elif key == "gram":
             if rank is None:
                 raise InconsistentInputError("rank must precede gram")
-            gram = tuple(tuple(need_int() for _ in range(rank)) for _ in range(rank))
+            gram = tuple(ints(rank) for _ in range(rank))
         elif key == "canonical":
             if rank is None:
                 raise InconsistentInputError("rank must precede canonical")
-            canonical = tuple(need_int() for _ in range(rank))
+            canonical = ints(rank)
         elif key == "jets":
             if rank is None:
                 raise InconsistentInputError("rank must precede jets")
-            while pos < len(tokens) and tokens[pos] not in _KEYWORDS:
-                coords = tuple(need_int() for _ in range(rank))
-                jets.append((coords, need_int()))
+            while pos < len(tokens) and tokens[pos][0] not in _KEYWORDS:
+                coords = ints(rank)
+                jets.append((coords, ints(1)[0]))
         else:
             raise InconsistentInputError(f"unknown lattice key {key!r}")
     if rank is None or gram is None or canonical is None:

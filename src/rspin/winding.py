@@ -29,6 +29,9 @@ from .errors import (
     InconsistentInputError,
     RefinementOrderError,
     UnknownComponentError,
+    int_token,
+    power,
+    read_lines,
 )
 
 
@@ -245,3 +248,48 @@ def enumerate_forms(genus: int) -> dict[int, int]:
     if genus < 0:
         raise InconsistentInputError("genus must be nonnegative")
     return {0: (4 ** genus + 2 ** genus) // 2, 1: (4 ** genus - 2 ** genus) // 2}
+
+
+# -- textual winding format ---------------------------------------------------
+#
+#   context 1 0 4          # genus, boundary count, modulus
+#   curve a : 1 0 : 0      # name : homology class : winding value
+#   curve c : 0 1 : 1
+#   word c^2 a             # twist letters, applied left to right
+
+
+def parse_winding(text: str) -> tuple[WindingContext, dict[str, HomologyCurve], TwistWord]:
+    ctx = None
+    curves: dict[str, HomologyCurve] = {}
+    word = TwistWord([])
+    for line, parts in read_lines(text):
+        if parts[0] == "context":
+            if len(parts) != 4:
+                raise InconsistentInputError(
+                    f"context line needs 'context <genus> <boundary> <modulus>'; "
+                    f"got {line!r}")
+            g, b, r = (int_token(t, line) for t in parts[1:])
+            ctx = WindingContext(r, g, tuple(f"bd{i}" for i in range(1, b + 1)))
+        elif parts[0] == "curve":
+            if ctx is None:
+                raise InconsistentInputError("context line must come first")
+            body = " ".join(parts[1:])
+            bits = [b.strip() for b in body.split(":")]
+            if len(bits) != 3:
+                raise InconsistentInputError(
+                    f"curve line needs 'curve <name> : <class> : <value>'; got {line!r}")
+            name = bits[0]
+            hclass = tuple(int_token(x, line) for x in bits[1].split())
+            if len(hclass) != ctx.class_length:
+                raise InconsistentInputError(
+                    f"curve {name}: class needs {ctx.class_length} entries")
+            value = int_token(bits[2], line)
+            curves[name] = HomologyCurve(name, hclass, value)
+        elif parts[0] == "word":
+            word = TwistWord([(name, int_token(exp, line))
+                              for name, exp in map(power, parts[1:])])
+        else:
+            raise InconsistentInputError(f"unrecognized winding line {line!r}")
+    if ctx is None:
+        raise InconsistentInputError("winding description needs a context line")
+    return ctx, curves, word

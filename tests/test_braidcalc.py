@@ -103,6 +103,9 @@ def test_plan_parity_and_size_errors():
         correction_plan([1, 0, 0, 0, 0, 0])
     with pytest.raises(InconsistentInputError):
         correction_plan([2, 0, 0, 0, 0])  # d = 5
+    for arc in ((1,), (1, 2, 3)):
+        with pytest.raises(InconsistentInputError, match="arc endpoints must be two"):
+            correction_plan([2, 0, 0, 0, 0, 0], arc_endpoints=arc)
 
 
 def test_plan_relabeled_indices():

@@ -220,12 +220,18 @@ def test_truncated_input_line_exit_one(capsys, tmp_path, argv, text):
      "curve a : 1 0 : 2.5", "2.5"),
     (("winding", "act", "FILE"), "context 1 0 4\ncurve a : 1 0 : 0\nword a^x\n",
      "word a^x", "x"),
+    (("winding", "act", "FILE"), "context 1 0 4\ncurve c : 0 1 : 1\nword c^\n",
+     "word c^", ""),
     (("config", "analyze", "FILE"), "curves a b\nambient 1 one\nintersections\nx a b\n",
      "ambient 1 one", "one"),
     (("config", "analyze", "FILE"), "curves a b\nintersections\nx a b +\n",
      "x a b +", "+"),
+    (("lattice", "FILE", "info"), "rank 1\ngram 1\ncanonical -3,\njets\n1 one\n",
+     "1 one", "one"),
+    (("milnor", "x^²"), "", "x^²", "²"),
 ], ids=["winding-context", "winding-class", "winding-value", "winding-exponent",
-        "config-ambient", "config-sign"])
+        "winding-bare-caret", "config-ambient", "config-sign", "lattice-jet",
+        "milnor-exponent"])
 def test_non_integer_token_exit_one(capsys, tmp_path, argv, text, line, token):
     path = tmp_path / "input.txt"
     path.write_text(text)
