@@ -12,6 +12,7 @@ single-writer/multi-reader table of certified jet-ampleness levels.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,17 +221,8 @@ class JetLedger:
         entry = self._entries.get(cls)
         return entry[0] if entry else None
 
-    def note(self, cls: DivisorClass) -> Optional[str]:
-        entry = self._entries.get(cls)
-        return entry[1] if entry else None
-
     def classes(self) -> list[DivisorClass]:
         return list(self._entries)
-
-    def copy(self) -> "JetLedger":
-        dup = JetLedger()
-        dup._entries = dict(self._entries)
-        return dup
 
     def __len__(self):
         return len(self._entries)
@@ -256,57 +248,43 @@ class JetSplitting:
     jet2: int
 
 
-_POOL_MULTIPLICITY = 12
-
-
-def _composition_pool(ledger: JetLedger) -> dict[tuple[int, ...], int]:
-    """All sums of ledger classes with bounded total multiplicity.
-
-    Sound but bounded: every pooled level is genuinely certified by the
-    composition rule; nothing beyond the bound is explored.
-    """
-    base = [(cls, ledger.level(cls)) for cls in ledger.classes()]
-    pool: dict[tuple[int, ...], int] = {}
-
-    def extend(idx: int, coords: tuple[int, ...], level: int, budget: int):
-        if level > 0:
-            if level > pool.get(coords, -1):
-                pool[coords] = level
-        if idx == len(base) or budget == 0:
-            return
-        cls, lvl = base[idx]
-        extend(idx + 1, coords, level, budget)
-        new = coords
-        for mult in range(1, budget + 1):
-            new = tuple(x + y for x, y in zip(new, cls.coords))
-            extend(idx + 1, new, level + mult * lvl, budget - mult)
-
-    if base:
-        # Large ledgers get a shallower search; soundness is unaffected.
-        budget = _POOL_MULTIPLICITY if len(base) <= 8 else 3
-        zero = tuple(0 for _ in base[0][0].coords)
-        extend(0, zero, 0, budget)
-    return pool
-
-
 def jet_splitting_certificate(l: DivisorClass, ledger: JetLedger) -> Optional[JetSplitting]:
     """Search for L = L1 + L2 with certified jet(L1) >= 6 and jet(L2) >= 1.
 
-    Sound, not complete: a None result means "not certified", never
-    "the hypotheses fail".  Every bounded composition of ledger entries is
-    tried.
+    Exact relative to the ledger, and no claim about the surface beyond it:
+    L1 and L2 range over all sums of ledger classes, at the best levels the
+    rule jet(A+B) >= jet(A) + jet(B) gives.  If the ledger's claims hold, the
+    sum H of its classes is ample, so each part of a split has H-degree in
+    (0, H.L]; sums are visited in increasing H-degree up to H.L.  L1 is the
+    least class in coordinate order at level >= 6 whose complement has level
+    >= 1.  Cost: O(T n log T) for n entries and T sums, pseudo-polynomial in
+    H.L; T <= 1 + H.L/H.c when every entry is a multiple of one class c.
     """
-    pool = _composition_pool(ledger)
-
-    def pooled(cls: DivisorClass) -> int:
-        return pool.get(cls.coords, 0)
-
-    firsts = sorted((l.lattice.divisor(co) for co, lv in pool.items() if lv >= 6),
-                    key=lambda c: c.coords)
-    for l1 in firsts:
-        l2 = l - l1
-        if pooled(l2) >= 1:
-            return JetSplitting(l1, l2, pooled(l1), pooled(l2))
+    classes = ledger.classes()
+    h = tuple(map(sum, zip(*(cls.coords for cls in classes))))
+    steps = sorted((l.lattice.pairing(h, cls.coords), cls.coords, ledger.level(cls))
+                   for cls in classes)
+    if all(level == 0 for *_, level in steps):
+        return None
+    degree, coords, _ = steps[0]
+    if degree <= 0:
+        raise InconsistentInputError(f"ledger class ({','.join(map(str, coords))}) has "
+                                     f"degree {degree} <= 0 against the ledger's sum")
+    bound = l.lattice.pairing(h, l.coords)
+    best, frontier = {(0,) * len(h): 0}, [(0, (0,) * len(h))]
+    while frontier:
+        degree, x = heapq.heappop(frontier)
+        for step, coords, level in steps:
+            if degree + step > bound:
+                break
+            y = tuple(a + b for a, b in zip(x, coords))
+            if y not in best:
+                heapq.heappush(frontier, (degree + step, y))
+            best[y] = max(best.get(y, 0), best[x] + level)
+    for l1 in sorted(x for x, level in best.items() if level >= 6):
+        l2 = tuple(a - b for a, b in zip(l.coords, l1))
+        if best.get(l2, 0) >= 1:
+            return JetSplitting(*map(l.lattice.divisor, (l1, l2)), best[l1], best[l2])
     return None
 
 

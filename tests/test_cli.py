@@ -249,6 +249,31 @@ def test_psi_malformed_generator_exit_one(capsys, chunk):
     assert err == f"error: cannot parse generator {chunk!r}\n"
 
 
+@pytest.mark.parametrize("fmt", ["machine", "human"])
+@pytest.mark.parametrize("argv", [("winding", "census", "--g", "10000"),
+                                  ("lattice", "P2", "genus", "9" * 3000)],
+                         ids=["census", "genus"])
+def test_answer_too_long_to_print_exit_one(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "digits" in err
+
+
+@pytest.mark.parametrize("text,cls,degree,l", [
+    ("rank 1\ngram 1\ncanonical -3\njets\n1 1\n0 0\n", "(0)", 0, "7"),
+    # dP1 with H and E1: E1.(H + E1) = -1
+    ("rank 2\ngram 1 0 0 -1\ncanonical -3 1\njets\n1 0 1\n0 1 0\n", "(0,1)", -1, "7,0"),
+], ids=["zero-class", "negative-degree"])
+def test_hypothesis_ledger_class_without_positive_degree_exit_one(
+        capsys, tmp_path, text, cls, degree, l):
+    path = tmp_path / "ledger.lat"
+    path.write_text(text)
+    code, out, err = run(capsys, "lattice", str(path), "hypothesis", l)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: ledger class {cls} has degree {degree} ")
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

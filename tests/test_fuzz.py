@@ -45,6 +45,7 @@ COORDINATES = ["2,0,0,0,0,0", "(1,2)", "-1,3,0,0,0,2"]
 KINDS = {
     "lattice": (picard.parse_lattice, LATTICE,
                 [["lattice", "FILE", "info"], ["lattice", "FILE", "lefschetz"],
+                 ["lattice", "FILE", "hypothesis", "7"],
                  ["report", "--surface", "FILE", "--C", "6", "--D", "1"]]),
     "config": (curveconf.parse_curve_system, CONFIG, [["config", "analyze", "FILE"]]),
     "winding": (winding.parse_winding, WINDING, [["winding", "act", "FILE"]]),

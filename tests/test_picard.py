@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+
+from rspin import cli
 
 from rspin.errors import (
     InconsistentInputError,
@@ -10,6 +13,7 @@ from rspin.errors import (
 )
 from rspin.picard import (
     JetLedger,
+    JetSplitting,
     PicardLattice,
     adjoint_and_root,
     catalog_lattice,
@@ -191,6 +195,171 @@ def test_hypothesis_direct_hit(quadric):
     ledger.declare(l2, 1)
     split = jet_splitting_certificate(l1 + l2, ledger)
     assert split is not None and {split.l1, split.l2} <= {l1, l2, l1 + l2}
+
+
+def pool_oracle(l, ledger):
+    """Brute-force oracle: every sum of at most `budget` ledger classes.
+
+    The budget floor(H.L / min H.g) (H the sum of the ledger classes) makes it
+    complete: no part of a split of L can use more ledger classes than that.
+    """
+    base = [(cls.coords, ledger.level(cls)) for cls in ledger.classes()]
+    if all(level == 0 for _, level in base):
+        return None
+    h = tuple(map(sum, zip(*(coords for coords, _ in base))))
+    pairing = l.lattice.pairing
+    budget = max(pairing(h, l.coords), 0) // min(pairing(h, coords) for coords, _ in base)
+    pool = {}
+
+    def extend(idx, coords, level, budget):
+        if level > 0 and level > pool.get(coords, -1):
+            pool[coords] = level
+        if idx == len(base) or budget == 0:
+            return
+        step, lvl = base[idx]
+        extend(idx + 1, coords, level, budget)
+        new = coords
+        for mult in range(1, budget + 1):
+            new = tuple(x + y for x, y in zip(new, step))
+            extend(idx + 1, new, level + mult * lvl, budget - mult)
+
+    extend(0, (0,) * l.lattice.rank, 0, budget)
+    for l1 in sorted(co for co, lv in pool.items() if lv >= 6):
+        l2 = tuple(a - b for a, b in zip(l.coords, l1))
+        if pool.get(l2, 0) >= 1:
+            return JetSplitting(l.lattice.divisor(l1), l.lattice.divisor(l2),
+                                pool[l1], pool[l2])
+    return None
+
+
+SEARCH_SURFACES = ["P2", "P1xP1", "F1", "dP2", "dP3", "K3-4"]
+
+
+def very_ample(name):
+    """The lattice and the very ample class H of its catalog ledger."""
+    lat, ledger = catalog_lattice(name)
+    return lat, ledger.classes()[0]
+
+
+def random_entry(rng, lat, h):
+    """A true ledger entry: kH at a level <= k, or a conic class H - E_i at level 0."""
+    if lat.name.startswith("dP") and rng.random() < 0.4:
+        i = rng.randrange(1, lat.rank)
+        return lat.divisor((1,) + tuple(-int(j == i) for j in range(1, lat.rank))), 0
+    k = rng.randint(1, 4)
+    return k * h, rng.randint(0, k)
+
+
+def random_case(rng):
+    """A ledger of one to four true entries, and a class L to split."""
+    lat, h = very_ample(rng.choice(SEARCH_SURFACES))
+    ledger = JetLedger()
+    for _ in range(rng.randint(1, 4)):
+        ledger.declare(*random_entry(rng, lat, h))
+    parts = rng.choices(ledger.classes(), k=rng.randint(1, 5))
+    l = rng.randint(0, 8) * h
+    for cls in parts:
+        l = l + cls
+    return lat, h, ledger, l
+
+
+def test_exact_search_matches_the_complete_pool():
+    rng = random.Random(17)
+    certified = 0
+    for _ in range(200):
+        _, _, ledger, l = random_case(rng)
+        split = jet_splitting_certificate(l, ledger)
+        assert split == pool_oracle(l, ledger), (l, ledger.classes())
+        certified += split is not None
+    assert 40 < certified < 160
+
+
+def test_one_entry_ledgers_match_the_complete_pool():
+    for name in SEARCH_SURFACES:
+        _, h = very_ample(name)
+        for k in range(1, 5):
+            for level in range(k + 1):
+                ledger = JetLedger()
+                ledger.declare(k * h, level)
+                for m in range(0, 25):
+                    l = m * h
+                    assert jet_splitting_certificate(l, ledger) == pool_oracle(l, ledger)
+
+
+def test_adding_an_entry_never_loses_a_certificate():
+    rng = random.Random(29)
+    kept = 0
+    for _ in range(300):
+        lat, h, ledger, l = random_case(rng)
+        if jet_splitting_certificate(l, ledger) is None:
+            continue
+        ledger.declare(*random_entry(rng, lat, h))
+        assert jet_splitting_certificate(l, ledger) is not None
+        kept += 1
+    assert kept > 50
+
+
+def test_p2_every_degree_from_seven_certifies(p2):
+    _, ledger = catalog_lattice("P2")
+    for k in list(range(7, 201)) + [1000]:
+        split = jet_splitting_certificate(p2.divisor((k,)), ledger)
+        assert (split.l1.coords, split.l2.coords) == ((6,), (k - 6,))
+        assert (split.jet1, split.jet2) == (6, k - 6)
+
+
+def test_nine_entry_ledger_on_dp6_certifies():
+    lat, _ = catalog_lattice("dP6")
+    minus_k = -lat.canonical_class
+    for top in (26, 27):  # 8 and 9 entries
+        ledger = JetLedger()
+        for k in [1] + list(range(20, top + 1)):
+            ledger.declare(k * minus_k, 1)
+        split = jet_splitting_certificate(7 * minus_k, ledger)
+        assert split == JetSplitting(6 * minus_k, minus_k, 6, 1)
+
+
+@pytest.mark.parametrize("name", ["P2", "P1xP1", "F1"])
+def test_report_deep_ledger_splits_off_six_h(name):
+    _, h = very_ample(name)
+    for m in (8, 30, 300):
+        ledger = JetLedger()
+        ledger.declare(h, 1)
+        ledger.declare((m - 1) * h, m - 1)
+        split = jet_splitting_certificate(m * h, ledger)
+        assert split == JetSplitting(6 * h, (m - 6) * h, 6, m - 6)
+
+
+def test_entry_without_positive_degree_rejected(p2):
+    ledger = JetLedger()
+    ledger.declare(p2.divisor((1,)), 1)
+    ledger.declare(p2.divisor((0,)), 0)
+    with pytest.raises(InconsistentInputError, match=r"\(0\) has degree 0"):
+        jet_splitting_certificate(p2.divisor((7,)), ledger)
+    dp1, _ = catalog_lattice("dP1")
+    ledger = JetLedger()
+    ledger.declare(dp1.divisor((1, 0)), 1)
+    ledger.declare(dp1.divisor((0, 1)), 0)  # E1: E1.(H + E1) = -1
+    with pytest.raises(InconsistentInputError, match=r"\(0,1\) has degree -1"):
+        jet_splitting_certificate(dp1.divisor((7, 0)), ledger)
+
+
+def test_ledger_without_positive_level_certifies_nothing(p2):
+    ledger = JetLedger()
+    assert jet_splitting_certificate(p2.divisor((7,)), ledger) is None
+    ledger.declare(p2.divisor((1,)), 0)
+    ledger.declare(p2.divisor((0,)), 0)
+    assert jet_splitting_certificate(p2.divisor((7,)), ledger) is None
+
+
+@pytest.mark.parametrize("argv", [["lattice", "P2", "hypothesis", "1000"],
+                                  ["report", "--surface", "P2", "--C", "999", "--D", "1"]],
+                         ids=["hypothesis", "report"])
+def test_degree_1000_is_fast(capsys, argv):
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and "(6)" in capsys.readouterr().out
+    assert elapsed < 0.2, f"{' '.join(argv)} took {elapsed:.3f}s"
 
 
 def test_lefschetz_decisions(p2):
