@@ -18,7 +18,7 @@ from . import curveconf
 from . import milnor as milnormod
 from . import picard
 from . import winding as windmod
-from .errors import DomainError, InconsistentInputError, NotRepresentableError
+from .errors import DomainError, InconsistentInputError
 
 
 def _coords(text: str) -> tuple[int, ...]:
@@ -439,24 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _answer(args) -> int:
-    """Run the subcommand; an integer too long for str() makes it NotRepresentableError."""
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):
-            raise
-        raise NotRepresentableError(
-            f"an integer in the answer has more than {sys.get_int_max_str_digits()} "
-            "digits, too many to print") from None
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _answer(args)
-    except (DomainError, OSError) as exc:
+        return args.func(args)
+    except (DomainError, OSError, ValueError) as exc:
+        # A ValueError is a bug, unless an answer passed Python's int-to-str digit limit.
+        if isinstance(exc, ValueError) and "integer string conversion" not in str(exc):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ class LatticeMismatchError(DomainError):
 
 
 class NotRepresentableError(DomainError):
-    """A quantity that must be an integer (e.g. a genus) is not."""
+    """An answer cannot be given: a genus that is not an integer, a search too large."""
 
 
 class UncertifiedError(DomainError):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -29,47 +30,22 @@ from .errors import (
 
 
 def _signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Inertia (n_pos, n_neg, n_zero) of a symmetric matrix, exactly over Q.
+    """Inertia (n_pos, n_neg, n_zero) of a symmetric integer matrix, exactly.
 
-    Congruence diagonalization (Lagrange): simultaneous row/column
-    elimination never changes the inertia.
+    Its characteristic polynomial (Faddeev-LeVerrier) has only real roots, so
+    Descartes' rule of signs counts the positive and the negative ones exactly.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            pivot = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if pivot is not None:
-                for k in range(n):
-                    a[i][k], a[pivot][k] = a[pivot][k], a[i][k]
-                for k in range(n):
-                    a[k][i], a[k][pivot] = a[k][pivot], a[k][i]
-            else:
-                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                for sign in (1, -1):
-                    if a[i][i] + 2 * sign * a[i][j] + a[j][j] != 0:
-                        break
-                for k in range(n):
-                    a[i][k] += sign * a[j][k]
-                for k in range(n):
-                    a[k][i] += sign * a[k][j]
-        d = a[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            if a[i][j] != 0:
-                f = a[i][j] / d
-                for k in range(n):
-                    a[j][k] -= f * a[i][k]
-                for k in range(n):
-                    a[k][j] -= f * a[k][i]
-    return pos, neg, zero
+    coeffs, m = [1], [[0] * n for _ in range(n)]  # p(x) = sum coeffs[i] x^(n-i)
+    for k in range(1, n + 1):
+        # M = G.M + c.I stays a polynomial in G, so symmetric: its rows are its columns.
+        m = [[_dot(row, col) + coeffs[-1] * (i == j) for j, col in enumerate(m)]
+             for i, row in enumerate(gram)]
+        coeffs.append(-sum(map(_dot, gram, m)) // k)  # -tr(G.M) / k
+    signs = [(c, n - i) for i, c in enumerate(coeffs) if c]
+    pos, neg = (sum(a * b * s ** (i + j) < 0 for (a, i), (b, j) in zip(signs, signs[1:]))
+                for s in (1, -1))
+    return pos, neg, n - pos - neg
 
 
 @dataclass(frozen=True)
@@ -207,25 +183,19 @@ class JetLedger:
     """
 
     def __init__(self):
-        self._entries: dict[DivisorClass, tuple[int, str]] = {}
+        self._entries: dict[DivisorClass, int] = {}
 
-    def declare(self, cls: DivisorClass, level: int, note: str = "declared") -> int:
+    def declare(self, cls: DivisorClass, level: int) -> int:
         if level < 0:
             raise InconsistentInputError("jet level must be nonnegative")
-        old = self._entries.get(cls)
-        if old is None or level > old[0]:
-            self._entries[cls] = (level, note)
-        return self._entries[cls][0]
+        self._entries[cls] = max(level, self._entries.get(cls, level))
+        return self._entries[cls]
 
     def level(self, cls: DivisorClass) -> Optional[int]:
-        entry = self._entries.get(cls)
-        return entry[0] if entry else None
+        return self._entries.get(cls)
 
     def classes(self) -> list[DivisorClass]:
         return list(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
 
 
 def jet_compose(ledger: JetLedger, a: DivisorClass, b: DivisorClass) -> int:
@@ -235,7 +205,13 @@ def jet_compose(ledger: JetLedger, a: DivisorClass, b: DivisorClass) -> int:
     if la is None or lb is None:
         missing = a if la is None else b
         raise UncertifiedError(f"no ledger entry for {missing!r}")
-    return ledger.declare(a + b, la + lb, "composition")
+    return ledger.declare(a + b, la + lb)
+
+
+# The most sums of ledger classes one splitting search holds (the process
+# stays under 50 MB at rank 7); a larger search raises NotRepresentableError
+# instead of answering.
+SEARCH_LIMIT = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -248,21 +224,51 @@ class JetSplitting:
     jet2: int
 
 
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _cone_bounds(vectors: list, target: tuple) -> Optional[list]:
+    """Integer functionals >= 0 on all vectors (all facets if they are independent),
+    or None if target is outside their span."""
+    rows = []  # (echelon row, its coordinates over the vectors, pivot)
+
+    def reduce(v):
+        v, coords = [Fraction(x) for x in v], [Fraction(0)] * len(vectors)
+        for row, row_coords, p in rows:
+            v, coords = ([a - v[p] * b for a, b in zip(v, row)],
+                         [a + v[p] * b for a, b in zip(coords, row_coords)])
+        return v, coords
+
+    for i, vector in enumerate(vectors):
+        rest, coords = reduce(vector)
+        p = next((j for j, a in enumerate(rest) if a), None)
+        if p is not None:
+            coords[i] -= 1
+            rows.append(([a / rest[p] for a in rest], [-a / rest[p] for a in coords], p))
+    if any(reduce(target)[0]):
+        return None
+    # The coordinate of each vector against the independent ones, as a functional.
+    units = (reduce([int(i == j) for j in range(len(target))])[1] for i in range(len(target)))
+    bounds = [[int(a * math.lcm(*(b.denominator for b in phi))) for a in phi]
+              for phi in zip(*units)]
+    return [phi for phi in bounds if any(phi) and all(_dot(phi, v) >= 0 for v in vectors)]
+
+
 def jet_splitting_certificate(l: DivisorClass, ledger: JetLedger) -> Optional[JetSplitting]:
     """Search for L = L1 + L2 with certified jet(L1) >= 6 and jet(L2) >= 1.
 
-    Exact relative to the ledger, and no claim about the surface beyond it:
-    L1 and L2 range over all sums of ledger classes, at the best levels the
-    rule jet(A+B) >= jet(A) + jet(B) gives.  If the ledger's claims hold, the
-    sum H of its classes is ample, so each part of a split has H-degree in
-    (0, H.L]; sums are visited in increasing H-degree up to H.L.  L1 is the
-    least class in coordinate order at level >= 6 whose complement has level
-    >= 1.  Cost: O(T n log T) for n entries and T sums, pseudo-polynomial in
-    H.L; T <= 1 + H.L/H.c when every entry is a multiple of one class c.
+    Exact relative to the ledger (no claim about the surface): L1, L2 range over
+    sums of ledger classes at their best levels under jet(A+B) >= jet(A) + jet(B),
+    L1 least in coordinate order.  The ledger's claims make the sum H of its
+    classes ample, so sums x are visited by H-degree up to H.L with L - x in the
+    ledger's cone: cost O(T n log T) for n entries and T <= SEARCH_LIMIT sums,
+    T independent of L when all entries are multiples of one class.
     """
-    classes = ledger.classes()
+    lattice = l.lattice
+    classes = [cls for cls in ledger.classes() if not cls.is_zero() or ledger.level(cls)]
     h = tuple(map(sum, zip(*(cls.coords for cls in classes))))
-    steps = sorted((l.lattice.pairing(h, cls.coords), cls.coords, ledger.level(cls))
+    steps = sorted((lattice.pairing(h, cls.coords), cls.coords, ledger.level(cls))
                    for cls in classes)
     if all(level == 0 for *_, level in steps):
         return None
@@ -270,8 +276,27 @@ def jet_splitting_certificate(l: DivisorClass, ledger: JetLedger) -> Optional[Je
     if degree <= 0:
         raise InconsistentInputError(f"ledger class ({','.join(map(str, coords))}) has "
                                      f"degree {degree} <= 0 against the ledger's sum")
-    bound = l.lattice.pairing(h, l.coords)
-    best, frontier = {(0,) * len(h): 0}, [(0, (0,) * len(h))]
+    c = tuple(x // math.gcd(*h) for x in h)
+    unit, copies, bounds = lattice.pairing(h, c), 0, []
+    if all(coords == tuple(deg // unit * x for x in c) for deg, coords, _ in steps):
+        # Entries a.c, and a* one of best level per multiple.  Among a* other
+        # entries some subset sums to a multiple of a*, which copies of a*
+        # replace without losing level, so every sum of t >= B = (a*-1).max(a) + 1
+        # multiples has a best form holding a*: best(t) = best(t - a*) + jet(a*).
+        # The chosen L1 (at most six positive entries) or, when c < 0 in
+        # coordinate order, L2 (one entry) is at most 6.max(a) multiples, so
+        # copies of a* taken out of L while n stays >= B + 12.max(a) belong to
+        # the other part and change nothing else.
+        star = max(steps, key=lambda s: (Fraction(s[2], s[0]), -s[0]))
+        a_star, a_max = star[0] // unit, steps[-1][0] // unit
+        n = lattice.pairing(h, l.coords) // unit  # L = n.c when L is on this line
+        copies = max(0, (n - (a_star + 11) * a_max - 1) // a_star)
+        l = l - copies * lattice.divisor(star[1])
+    elif (bounds := _cone_bounds([coords for _, coords, _ in steps], l.coords)) is None:
+        return None
+    caps, bound = [_dot(phi, l.coords) for phi in bounds], lattice.pairing(h, l.coords)
+    zero = (0,) * len(h)
+    best, frontier = {zero: 0}, [(0, zero)]
     while frontier:
         degree, x = heapq.heappop(frontier)
         for step, coords, level in steps:
@@ -279,12 +304,22 @@ def jet_splitting_certificate(l: DivisorClass, ledger: JetLedger) -> Optional[Je
                 break
             y = tuple(a + b for a, b in zip(x, coords))
             if y not in best:
+                if bounds and any(_dot(phi, y) > cap for phi, cap in zip(bounds, caps)):
+                    continue
+                if len(best) == SEARCH_LIMIT:
+                    raise NotRepresentableError(
+                        f"the splitting search needs over {SEARCH_LIMIT} ledger sums")
                 heapq.heappush(frontier, (degree + step, y))
             best[y] = max(best.get(y, 0), best[x] + level)
     for l1 in sorted(x for x, level in best.items() if level >= 6):
         l2 = tuple(a - b for a, b in zip(l.coords, l1))
         if best.get(l2, 0) >= 1:
-            return JetSplitting(*map(l.lattice.divisor, (l1, l2)), best[l1], best[l2])
+            split = [lattice.divisor(l1), lattice.divisor(l2), best[l1], best[l2]]
+            if copies:  # back to the large part: L2 if c > 0 in coordinate order
+                side = int(c > zero)
+                split[side] += copies * lattice.divisor(star[1])
+                split[side + 2] += copies * star[2]
+            return JetSplitting(*split)
     return None
 
 
@@ -349,35 +384,33 @@ def _validate_genera(lattice: PicardLattice,
     return lattice
 
 
-def _projective_plane() -> tuple[PicardLattice, JetLedger]:
+# Each builder returns its lattice and the one class its ledger certifies as
+# very ample (jet level 1), or None for an empty ledger.
+
+
+def _projective_plane() -> tuple[PicardLattice, tuple]:
     lat = _validate_genera(
         PicardLattice(1, ((1,),), (-3,), name="P2"),
         [((1,), 0), ((2,), 0), ((3,), 1), ((5,), 6)])
-    ledger = JetLedger()
-    ledger.declare(lat.divisor((1,)), 1, "hyperplane class, very ample")
-    return lat, ledger
+    return lat, (1,)  # the hyperplane class
 
 
-def _quadric() -> tuple[PicardLattice, JetLedger]:
+def _quadric() -> tuple[PicardLattice, tuple]:
     lat = _validate_genera(
         PicardLattice(2, ((0, 1), (1, 0)), (-2, -2), name="P1xP1"),
         [((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((2, 2), 1)])
-    ledger = JetLedger()
-    ledger.declare(lat.divisor((1, 1)), 1, "bidegree (1,1), very ample")
-    return lat, ledger
+    return lat, (1, 1)  # bidegree (1,1)
 
 
-def _hirzebruch(n: int) -> tuple[PicardLattice, JetLedger]:
+def _hirzebruch(n: int) -> tuple[PicardLattice, tuple]:
     # Basis (s, f): s the negative section, f the fiber.
     lat = _validate_genera(
         PicardLattice(2, ((-n, 1), (1, 0)), (-2, -(n + 2)), name=f"F{n}"),
         [((1, 0), 0), ((0, 1), 0)])
-    ledger = JetLedger()
-    ledger.declare(lat.divisor((1, n + 1)), 1, "s + (n+1)f, very ample")
-    return lat, ledger
+    return lat, (1, n + 1)  # s + (n+1)f
 
 
-def _del_pezzo(k: int) -> tuple[PicardLattice, JetLedger]:
+def _del_pezzo(k: int) -> tuple[PicardLattice, tuple]:
     # Blowup of the plane at k general points; basis (H, E1, ..., Ek).
     rank = k + 1
     gram = tuple(tuple((1 if i == 0 else -1) if i == j else 0 for j in range(rank))
@@ -388,20 +421,15 @@ def _del_pezzo(k: int) -> tuple[PicardLattice, JetLedger]:
                for i in range(1, rank)]
     checks.append(((1, -1) + (0,) * (k - 1), 0))
     lat = _validate_genera(PicardLattice(rank, gram, canonical, name=f"dP{k}"), checks)
-    ledger = JetLedger()
-    ledger.declare(lat.divisor((3,) + (-1,) * k), 1, "anticanonical, very ample")
-    return lat, ledger
+    return lat, (3,) + (-1,) * k  # the anticanonical class
 
 
-def _k3(two_n: int) -> tuple[PicardLattice, JetLedger]:
+def _k3(two_n: int) -> tuple[PicardLattice, Optional[tuple]]:
     n = two_n // 2
     lat = _validate_genera(
         PicardLattice(1, ((two_n,),), (0,), name=f"K3-{two_n}"),
         [((1,), n + 1)])
-    ledger = JetLedger()
-    if two_n >= 4:
-        ledger.declare(lat.divisor((1,)), 1, "polarization, very ample")
-    return lat, ledger
+    return lat, (1,) if two_n >= 4 else None  # the polarization
 
 
 _CATALOG = {
@@ -433,7 +461,11 @@ def catalog_lattice(name: str) -> tuple[PicardLattice, JetLedger]:
     except KeyError:
         raise InconsistentInputError(
             f"unknown catalog lattice {name!r}; known: {', '.join(_CATALOG)}") from None
-    return builder()
+    lattice, very_ample = builder()
+    ledger = JetLedger()
+    if very_ample:
+        ledger.declare(lattice.divisor(very_ample), 1)
+    return lattice, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +540,7 @@ def parse_lattice(text: str) -> tuple[PicardLattice, JetLedger]:
                             simply_connected=simply_connected)
     ledger = JetLedger()
     for coords, level in jets:
-        ledger.declare(lattice.divisor(coords), level, "declared in file")
+        ledger.declare(lattice.divisor(coords), level)
     return lattice, ledger
 
 
@@ -521,7 +553,7 @@ def render_lattice(lattice: PicardLattice, ledger: Optional[JetLedger] = None) -
     lines.append("canonical " + " ".join(str(x) for x in lattice.canonical))
     if not lattice.simply_connected:
         lines.append("simply_connected 0")
-    if ledger is not None and len(ledger):
+    if ledger is not None and ledger.classes():
         lines.append("jets")
         for cls in sorted(ledger.classes(), key=lambda c: c.coords):
             lines.append(" ".join(str(x) for x in cls.coords) + f" {ledger.level(cls)}")

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from rspin import picard
 from rspin.cli import main, parse_machine, render_machine
 
 
@@ -261,7 +262,7 @@ def test_answer_too_long_to_print_exit_one(capsys, argv, fmt):
 
 
 @pytest.mark.parametrize("text,cls,degree,l", [
-    ("rank 1\ngram 1\ncanonical -3\njets\n1 1\n0 0\n", "(0)", 0, "7"),
+    ("rank 1\ngram 1\ncanonical -3\njets\n1 1\n0 1\n", "(0)", 0, "7"),
     # dP1 with H and E1: E1.(H + E1) = -1
     ("rank 2\ngram 1 0 0 -1\ncanonical -3 1\njets\n1 0 1\n0 1 0\n", "(0,1)", -1, "7,0"),
 ], ids=["zero-class", "negative-degree"])
@@ -272,6 +273,17 @@ def test_hypothesis_ledger_class_without_positive_degree_exit_one(
     code, out, err = run(capsys, "lattice", str(path), "hypothesis", l)
     assert code == 1 and out == "" and err.count("\n") == 1
     assert err.startswith(f"error: ledger class {cls} has degree {degree} ")
+
+
+def test_hypothesis_search_past_the_limit_exit_one(capsys, tmp_path, monkeypatch):
+    # dP1 with H at level 1 and the conic H - E1 at level 0: 9 * 9 sums lie below L.
+    path = tmp_path / "ledger.lat"
+    path.write_text("rank 2\ngram 1 0 0 -1\ncanonical -3 1\njets\n1 0 1\n1 -1 0\n")
+    assert run(capsys, "lattice", str(path), "hypothesis", "16,-8")[0] == 0
+    monkeypatch.setattr(picard, "SEARCH_LIMIT", 50)
+    code, out, err = run(capsys, "lattice", str(path), "hypothesis", "16,-8")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err == "error: the splitting search needs over 50 ledger sums\n"
 
 
 def test_usage_error_exit_two():

@@ -7,6 +7,7 @@ the CLI may only exit 0, 1 or 2.
 """
 
 import random
+import re
 
 import pytest
 
@@ -41,11 +42,12 @@ WORD = ["m(1,2)^2 b(3) s(tag)", "m(1,3)^-1 * m(2,4) m(1,2)"]
 COORDINATES = ["2,0,0,0,0,0", "(1,2)", "-1,3,0,0,0,2"]
 
 # kind -> (parser, seeds, CLI argv templates); FILE is replaced by a path
-# holding the input and TEXT by the input itself.
+# holding the input, TEXT by the input itself and CLASS by a class 7,...,7 of
+# the rank the input declares.
 KINDS = {
     "lattice": (picard.parse_lattice, LATTICE,
                 [["lattice", "FILE", "info"], ["lattice", "FILE", "lefschetz"],
-                 ["lattice", "FILE", "hypothesis", "7"],
+                 ["lattice", "FILE", "hypothesis", "CLASS"],
                  ["report", "--surface", "FILE", "--C", "6", "--D", "1"]]),
     "config": (curveconf.parse_curve_system, CONFIG, [["config", "analyze", "FILE"]]),
     "winding": (winding.parse_winding, WINDING, [["winding", "act", "FILE"]]),
@@ -126,7 +128,10 @@ def cli_cases(seed: int, count: int):
 def run_cli(capsys, path, template, text, fmt):
     if "FILE" in template:
         path.write_bytes(text.encode("utf-8"))
-    argv = [a.replace("FILE", str(path)).replace("TEXT", text) for a in template]
+    rank = re.search(r"rank\s+(\d)\b", text)
+    seven = ",".join("7" * int(rank.group(1) if rank else 1))
+    argv = [a.replace("FILE", str(path)).replace("TEXT", text).replace("CLASS", seven)
+            for a in template]
     try:
         code = cli.main(argv + ["--format", fmt])
     except SystemExit as exc:
@@ -148,6 +153,25 @@ def test_cli_on_mutated_inputs(capsys, tmp_path):
             if code == 0 and fmt == "machine":
                 assert render_machine(parse_machine(out)) + "\n" == out
     assert codes >= {0, 1}
+
+
+def test_cli_hypothesis_on_mutated_ledgers(capsys, tmp_path):
+    """Mutated lattice files through `lattice FILE hypothesis`, many reaching the search."""
+    path = tmp_path / "input.txt"
+    rng = random.Random(8)
+    template = KINDS["lattice"][2][2]
+    answered = []
+    for _ in range(150):
+        text = mutate(rng, rng.choice(LATTICE))
+        for fmt in ("machine", "human"):
+            code, out, err = run_cli(capsys, path, template, text, fmt)
+            assert code in (0, 1), (text, err)
+            if code == 1:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            elif fmt == "machine":
+                answered.append(parse_machine(out)["hypothesis"])
+                assert render_machine(parse_machine(out)) + "\n" == out
+    assert len(answered) > 25 and set(answered) == {"certified", "not-certified"}
 
 
 def _messy(text: str) -> str:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from rspin import cli
+from rspin import cli, picard
 
 from rspin.errors import (
     InconsistentInputError,
@@ -71,6 +71,24 @@ def test_signature_rejected():
         PicardLattice(2, ((0, 0), (0, -1)), (0, 0))  # degenerate
     with pytest.raises(InconsistentInputError):
         PicardLattice(2, ((0, 1), (2, 0)), (0, 0))  # not symmetric
+
+
+def test_signature_is_the_inertia_of_any_congruent_diagonal():
+    # Sylvester: P^T D P has the inertia of D for every invertible P.
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        diag = [rng.choice([-3, -1, 0, 0, 1, 2]) for _ in range(n)]
+        p = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):  # unimodular: add a multiple of one row to another
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            k = rng.randint(-2, 2)
+            if i != j:
+                p[i] = [a + k * b for a, b in zip(p[i], p[j])]
+        gram = [[sum(p[k][i] * diag[k] * p[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        expected = (sum(d > 0 for d in diag), sum(d < 0 for d in diag), diag.count(0))
+        assert picard._signature(gram) == expected, gram
 
 
 def test_adjoint_and_root(p2):
@@ -332,7 +350,7 @@ def test_report_deep_ledger_splits_off_six_h(name):
 def test_entry_without_positive_degree_rejected(p2):
     ledger = JetLedger()
     ledger.declare(p2.divisor((1,)), 1)
-    ledger.declare(p2.divisor((0,)), 0)
+    ledger.declare(p2.divisor((0,)), 1)
     with pytest.raises(InconsistentInputError, match=r"\(0\) has degree 0"):
         jet_splitting_certificate(p2.divisor((7,)), ledger)
     dp1, _ = catalog_lattice("dP1")
@@ -341,6 +359,15 @@ def test_entry_without_positive_degree_rejected(p2):
     ledger.declare(dp1.divisor((0, 1)), 0)  # E1: E1.(H + E1) = -1
     with pytest.raises(InconsistentInputError, match=r"\(0,1\) has degree -1"):
         jet_splitting_certificate(dp1.divisor((7, 0)), ledger)
+
+
+def test_zero_class_at_level_zero_is_a_true_entry(p2):
+    # O_X is globally generated: the entry is true and adds nothing to any sum.
+    _, ledger = catalog_lattice("P2")
+    ledger.declare(p2.divisor((0,)), 0)
+    for k in (6, 7, 30):
+        assert (jet_splitting_certificate(p2.divisor((k,)), ledger)
+                == jet_splitting_certificate(p2.divisor((k,)), catalog_lattice("P2")[1]))
 
 
 def test_ledger_without_positive_level_certifies_nothing(p2):
@@ -360,6 +387,109 @@ def test_degree_1000_is_fast(capsys, argv):
     elapsed = time.perf_counter() - start
     assert code == 0 and "(6)" in capsys.readouterr().out
     assert elapsed < 0.2, f"{' '.join(argv)} took {elapsed:.3f}s"
+
+
+def line_oracle(n, entries, positive):
+    """The split of n.c for a ledger of multiples (a, level) of c, by a table over 0..n."""
+    best = [0] + [None] * n
+    for t in range(1, n + 1):
+        sums = [best[t - a] + level for a, level in entries if a <= t and best[t - a] is not None]
+        best[t] = max(sums, default=None)
+    for t in (range(n + 1) if positive else range(n, -1, -1)):
+        if (best[t] or 0) >= 6 and (best[n - t] or 0) >= 1:
+            return t, n - t, best[t], best[n - t]
+    return None
+
+
+LINES = [("P2", (1,)), ("P2", (-1,)), ("P1xP1", (1, 1)), ("P1xP1", (-1, -1)),
+         ("F2", (1, 3)), ("dP3", (3, -1, -1, -1)), ("K3-4", (1,))]
+
+
+def test_ledgers_on_one_line_match_the_line_oracle():
+    """Multiples of one class c, including c < 0 in coordinate order, where L1 is the
+    largest part; n runs past the point where copies of the best entry move out."""
+    rng = random.Random(41)
+    for _ in range(150):
+        name, c = rng.choice(LINES)
+        lat = catalog_lattice(name)[0]
+        c = lat.divisor(c)
+        entries = {rng.randint(1, 5): rng.randint(0, 7) for _ in range(rng.randint(1, 3))}
+        ledger = JetLedger()
+        for a, level in entries.items():
+            ledger.declare(a * c, level)
+        n = rng.randint(0, 250)
+        want = line_oracle(n, list(entries.items()), c.coords > (0,) * lat.rank)
+        got = jet_splitting_certificate(n * c, ledger)
+        if want is None:
+            assert got is None, (name, c, entries, n)
+        else:
+            t, u, jet1, jet2 = want
+            assert got == JetSplitting(t * c, u * c, jet1, jet2), (name, c, entries, n)
+
+
+@pytest.mark.parametrize("name,ledger", [
+    ("P1xP1", {(1, 0): 0, (0, 1): 0, (1, 1): 1}),
+    ("P1xP1", {(1, 0): 1, (0, 1): 1, (2, 1): 2}),
+    ("F1", {(1, 2): 1, (0, 1): 0, (1, 1): 0}),
+    ("dP2", {(1, 0, 0): 1, (1, -1, 0): 0, (1, 0, -1): 0, (2, -1, -1): 1}),
+], ids=["quadric-rulings", "quadric-three", "f1", "dp2-dependent"])
+def test_dependent_ledgers_match_the_complete_pool(name, ledger):
+    lat = catalog_lattice(name)[0]
+    table = JetLedger()
+    for coords, level in ledger.items():
+        table.declare(lat.divisor(coords), level)
+    rng = random.Random(43)
+    for _ in range(40):
+        l = lat.divisor([0] * lat.rank)
+        for cls in rng.choices(table.classes(), k=rng.randint(0, 9)):
+            l = l + cls
+        if rng.random() < 0.3:  # sometimes off the ledger's semigroup, or its span
+            l = l + lat.divisor([rng.randint(-1, 1) for _ in range(lat.rank)])
+        assert jet_splitting_certificate(l, table) == pool_oracle(l, table), l
+
+
+def dp6_conic_ledger():
+    """-K at level 1 and the six conic classes H - E_i at level 0, all true on dP6."""
+    lat = catalog_lattice("dP6")[0]
+    ledger = JetLedger()
+    ledger.declare(-lat.canonical_class, 1)
+    conics = [lat.divisor((1,) + tuple(-int(j == i) for j in range(1, 7))) for i in range(1, 7)]
+    for conic in conics:
+        ledger.declare(conic, 0)
+    return lat, ledger, conics
+
+
+def test_dp6_conic_ledger_is_searched_in_its_cone():
+    lat, ledger, _ = dp6_conic_ledger()
+    minus_k = -lat.canonical_class
+    start = time.perf_counter()
+    for m in (7, 12, 30):
+        split = jet_splitting_certificate(m * minus_k, ledger)
+        assert split == JetSplitting(6 * minus_k, (m - 6) * minus_k, 6, m - 6)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.2, f"three dP6 conic-ledger searches took {elapsed:.3f}s"
+
+
+def test_search_past_the_limit_raises(monkeypatch):
+    lat, ledger, conics = dp6_conic_ledger()
+    l = 8 * -lat.canonical_class
+    for conic in conics:
+        l = l + 2 * conic  # 9 * 3^6 sums lie between 0 and L
+    monkeypatch.setattr(picard, "SEARCH_LIMIT", 1000)
+    with pytest.raises(NotRepresentableError, match="over 1000 ledger sums"):
+        jet_splitting_certificate(l, ledger)
+    monkeypatch.setattr(picard, "SEARCH_LIMIT", 10_000)
+    split = jet_splitting_certificate(l, ledger)
+    assert split is not None and split.jet1 == 6
+
+
+def test_p2_degree_1e8_is_fast(capsys):
+    start = time.perf_counter()
+    code = cli.main(["lattice", "P2", "hypothesis", "100000000", "--format", "machine"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0 and "L1=6\nL2=99999994\njet_L1=6\njet_L2=99999994" in out
+    assert elapsed < 0.2, f"lattice P2 hypothesis 100000000 took {elapsed:.3f}s"
 
 
 def test_lefschetz_decisions(p2):
