@@ -23,6 +23,12 @@ class NotRepresentableError(DomainError):
     """An answer cannot be given: a genus that is not an integer, a search too large."""
 
 
+# The most ledger sums one jet-splitting search holds (under 50 MB at rank 7)
+# and the most columns of one Milnor basis matrix (x^510 + y^2 peaks at 80 MB);
+# a larger search raises NotRepresentableError instead of answering.
+SEARCH_LIMIT = 1 << 17
+
+
 class UncertifiedError(DomainError):
     """A jet level was requested for a class with no ledger entry."""
 
@@ -68,7 +74,7 @@ class ParityError(DomainError):
 
 
 class NonIsolatedError(DomainError):
-    """Milnor computation failed to stabilize below the degree ceiling."""
+    """The partials of a plane germ share a component through the origin."""
 
 
 class InternalInconsistencyError(DomainError):

@@ -1,25 +1,28 @@
 """Milnor numbers and monomial bases of isolated plane-curve singularities.
 
-The Milnor number is the dimension of C[[x,y]] / (f_x, f_y).  It is computed
-by exact linear algebra: assemble the matrix of all monomial multiples of the
-two partials up to total degree N, row reduce it over the integers without
-fractions, and count the standard monomials (non-pivot columns) under graded
-lex order.  N is increased until two consecutive degrees agree and the
-standard set is the complement of a monomial staircase; a hard ceiling
-converts non-isolated singularities into a clean error.
+The Milnor number mu = dim C[[x,y]] / (f_x, f_y) is the intersection number
+I_0(f_x, f_y), computed exactly by Fulton's algorithm; a total past the Bezout
+bound deg f_x * deg f_y certifies that the germ is not isolated.  The basis:
+assemble all monomial multiples of the two partials up to total degree n, row
+reduce them over the integers without fractions, and take the standard
+monomials (non-pivot columns) under graded lex order, raising n until there
+are mu of them.  No degree ceiling applies, only the shared size bound
+`SEARCH_LIMIT` on the matrix's columns.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .errors import (
+    SEARCH_LIMIT,
     InconsistentInputError,
     NonIsolatedError,
+    NotRepresentableError,
     UnsupportedTypeError,
     int_token,
 )
@@ -27,15 +30,13 @@ from .curveconf import CurveSystem, chain, dynkin
 
 Monomial = tuple[int, int]
 
-DEGREE_CEILING = 24
-
 
 class PlaneGerm:
     """Polynomial germ in two variables with rational coefficients."""
 
     def __init__(self, terms):
         coeffs: dict[Monomial, Fraction] = {}
-        for (i, j), c in dict(terms).items():
+        for (i, j), c in terms.items() if isinstance(terms, dict) else terms:
             if i < 0 or j < 0:
                 raise InconsistentInputError("exponents must be nonnegative")
             c = Fraction(c)
@@ -107,16 +108,14 @@ def _integer_terms(g: PlaneGerm) -> dict[Monomial, int]:
     return {m: int(c * scale) for m, c in g.terms.items()}
 
 
-def _quotient_monomials(f: PlaneGerm, n: int) -> Optional[list[Monomial]]:
+def _quotient_monomials(f: PlaneGerm, n: int) -> list[Monomial]:
     """Standard monomials of the quotient truncated at degree n, in ascending
     graded lex order with x > y (1, x, y, x^2, xy, y^2, ...).
 
     Works modulo m^{n+1}: every monomial multiple of the two partials (any
     multiplier of degree <= n) is truncated to degree <= n and row reduced.
-    The quotient dimension is then exactly dim C[x,y]/(J + m^{n+1}), so a
-    repeat value at n+1 certifies the Jacobian ideal has been saturated.
-    Returns None when the standard set is not the complement of the
-    monomial staircase of the pivots (not yet stable).
+    The quotient dimension is then exactly dim C[x,y]/(J + m^{n+1}), and the
+    standard set is a staircase: the rows span an ideal mod m^{n+1}.
 
     Elimination is fraction-free: each partial is scaled to integer
     coefficients, and a row is reduced against a pivot row by integer
@@ -124,6 +123,8 @@ def _quotient_monomials(f: PlaneGerm, n: int) -> Optional[list[Monomial]]:
     rational elimination's, so the pivot columns (the leading monomials of
     that space) are the same.
     """
+    if (n + 1) * (n + 2) // 2 > SEARCH_LIMIT:
+        raise NotRepresentableError(f"the monomial basis needs over {SEARCH_LIMIT} columns")
     # Descending graded lex with x > y, so the leading monomial comes first.
     columns = [(i, d - i) for d in range(n, -1, -1) for i in range(d + 1)]
     col_index = {m: k for k, m in enumerate(columns)}
@@ -165,50 +166,60 @@ def _quotient_monomials(f: PlaneGerm, n: int) -> Optional[list[Monomial]]:
                     else:
                         del row[k]
     pivot_monos = {columns[p] for p in pivot_rows}
-    standard = [m for m in reversed(columns) if m not in pivot_monos]
-
-    # Staircase stability: the standard set must be exactly the complement
-    # of the monomial ideal generated by the pivot leading monomials.
-    if set(standard) != _staircase_complement(pivot_monos, n):
-        return None
-    return standard
+    return [m for m in reversed(columns) if m not in pivot_monos]
 
 
-def _staircase_complement(generators: Iterable[Monomial], n: int) -> set[Monomial]:
-    """Monomials of degree <= n outside the ideal the generators span, O(n^2).
+def _axis(g: dict[Monomial, int]) -> tuple[float, dict[int, int], dict[Monomial, int]]:
+    """(r, u, g) with g(x, 0) = x^r u(x), u(0) != 0; r = inf when y divides g."""
+    axis = {i: c for (i, j), c in g.items() if j == 0}
+    r = min(axis, default=math.inf)
+    return r, {i - r: c for i, c in axis.items()}, g
 
-    lowest[a] is the least j over generators (i, j) with i <= a, so (a, b)
-    lies in the ideal iff b >= lowest[a].  Generators have degree <= n.
+
+def _intersection(p: dict[Monomial, int], q: dict[Monomial, int], bound: int) -> int:
+    """I_0(p, q) at the origin for integer polynomials (Fulton, Algebraic Curves 3.3).
+
+    With p(x, 0) = x^r u, q(x, 0) = x^s v, u(0), v(0) != 0 and r <= s,
+    I_0(p, q) = r + I_0(p, (u q - v x^(s-r) p) / y): the unit u changes nothing
+    and the whole axis part cancels.  A variable dividing both, or a total past
+    bound = deg p * deg q (Bezout, which survives cancelling a common factor
+    that misses the origin), is a shared component through the origin.
     """
-    lowest = [n + 1] * (n + 1)
-    for i, j in generators:
-        lowest[i] = min(lowest[i], j)
-    lowest = list(accumulate(lowest, min))
-    return {(a, b) for a in range(n + 1) for b in range(min(lowest[a], n + 1 - a))}
+    total = 0
+    while (0, 0) not in p and (0, 0) not in q:
+        # Past the bound both are truncated to 0, which every variable divides.
+        if any(all(m[k] for m in (*p, *q)) for k in (0, 1)):
+            raise NonIsolatedError("the partials share a component through the origin")
+        (r, u, p), (s, v, q) = sorted(map(_axis, (p, q)), key=lambda t: t[0])
+        # u q - v x^(s-r) p, or q itself when y divides q (v = 0).
+        new: Counter = Counter()
+        for g, w in ((q, u if v else {0: 1}), (p, {a + s - r: -b for a, b in v.items()})):
+            for (i, j), c in g.items():
+                for a, b in w.items():
+                    new[i + a, j] += b * c
+        total += r
+        # Terms past the remaining budget do not change I_0 if it is within it.
+        content, budget = math.gcd(*new.values()), bound - total
+        q = {(i, j - 1): c // content for (i, j), c in new.items() if c and i + j <= budget + 1}
+        p = {m: c for m, c in p.items() if sum(m) <= budget}
+    return total
 
 
-def milnor_number(f: PlaneGerm, ceiling: int = DEGREE_CEILING) -> MilnorResult:
-    """Milnor number and monomial basis of the Jacobian quotient algebra.
+def milnor_number(f: PlaneGerm) -> MilnorResult:
+    """Milnor number mu = I_0(f_x, f_y) and monomial basis of the Jacobian algebra.
 
-    Stabilization criterion: two consecutive truncation degrees produce the
-    same staircase-stable standard set.
+    The truncated quotient's dimension rises strictly with n until it is mu
+    (equal values at n and n + 1 put m^(n+1) in the Jacobian ideal, by
+    Nakayama, and the standard sets agree from then on); truncation n + 1 is
+    the first degree that repeats the basis.
     """
-    if f.is_zero():
-        raise NonIsolatedError("zero germ has no isolated singularity")
     fx, fy = jacobian(f)
-    if fx.is_zero() and fy.is_zero():
-        raise NonIsolatedError("constant germ has no isolated singularity")
-    start = max(1, fx.degree() if not fx.is_zero() else 0,
-                fy.degree() if not fy.is_zero() else 0)
-    prev: Optional[list[Monomial]] = None
-    for n in range(start, ceiling + 1):
-        cur = _quotient_monomials(f, n)
-        if cur is not None and prev is not None and cur == prev:
-            return MilnorResult(len(cur), tuple(cur), n)
-        prev = cur
-    raise NonIsolatedError(
-        f"no stabilization below degree {ceiling}: singularity is not "
-        "isolated or too deep for the cost bound")
+    mu = _intersection(_integer_terms(fx), _integer_terms(fy), fx.degree() * fy.degree())
+    # Below isqrt(2 mu) - 1 the truncated matrix has fewer than mu columns.
+    n = max(1, fx.degree(), fy.degree(), math.isqrt(2 * mu) - 1)
+    while len(standard := _quotient_monomials(f, n)) < mu:
+        n += 1
+    return MilnorResult(mu, tuple(standard), n + 1)
 
 
 def jet_requirement(f: PlaneGerm, basis: Sequence[Monomial]) -> int:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    SEARCH_LIMIT,
     InconsistentInputError,
     LatticeMismatchError,
     NotRepresentableError,
@@ -206,12 +207,6 @@ def jet_compose(ledger: JetLedger, a: DivisorClass, b: DivisorClass) -> int:
         missing = a if la is None else b
         raise UncertifiedError(f"no ledger entry for {missing!r}")
     return ledger.declare(a + b, la + lb)
-
-
-# The most sums of ledger classes one splitting search holds (the process
-# stays under 50 MB at rank 7); a larger search raises NotRepresentableError
-# instead of answering.
-SEARCH_LIMIT = 1 << 17
 
 
 @dataclass(frozen=True)

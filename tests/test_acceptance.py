@@ -9,9 +9,12 @@ import math
 import random
 import time
 
+import pytest
+
 from rspin.assemblage import capping_order, monodromy_report
 from rspin.braidcalc import in_stabilizer, meridian, correction_plan, psi
 from rspin.curveconf import e6_a7_core, is_e_arboreal, is_spanning, neighborhood_invariants
+from rspin.errors import NonIsolatedError
 from rspin.milnor import PlaneGerm, milnor_number
 from rspin.picard import (
     JetLedger,
@@ -221,3 +224,22 @@ def test_criterion_9_hypothesis_gate():
     assert jet_splitting_certificate(lat.divisor((5,)), base) is None
     _report(9, "hypothesis gate certifies degree 7 via 6 + 1 and leaves "
                "degree 5 uncertified from the base ledger", start, 1.0)
+
+
+def test_criterion_10_milnor_numbers_without_a_degree_ceiling():
+    start = time.time()
+    res = milnor_number(PlaneGerm.parse("x^14+y^15"))
+    assert res.mu == 182
+    assert set(res.basis) == {(i, j) for i in range(13) for j in range(14)}
+    _report(10, "x^14 + y^15 has mu = 182 and the box basis", start, 0.5)
+    for factored, text in (
+            ("(x^2 - y^3)^2 (1 + x + y)",
+             "x^4 + x^5 + x^4*y - 2*x^2*y^3 - 2*x^3*y^3 - 2*x^2*y^4 + y^6 + x*y^6 + y^7"),
+            ("(x^2 + y^3 + xy)^2 (x^3 - y^4 + 2)",
+             "2*x^4 + 4*x^3*y + 2*x^2*y^2 + 4*x^2*y^3 + 4*x*y^4 + 2*y^6 + x^7 + 2*x^6*y"
+             " + x^5*y^2 + 2*x^5*y^3 + x^4*y^4 - 2*x^3*y^5 - x^2*y^6 + x^3*y^6"
+             " - 2*x^2*y^7 - 2*x*y^8 - y^10")):
+        start = time.time()
+        with pytest.raises(NonIsolatedError):
+            milnor_number(PlaneGerm.parse(text))
+        _report(10, f"{factored} is not isolated", start, 0.5)

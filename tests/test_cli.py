@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from rspin import picard
+from rspin import milnor, picard
 from rspin.cli import main, parse_machine, render_machine
 
 
@@ -284,6 +284,26 @@ def test_hypothesis_search_past_the_limit_exit_one(capsys, tmp_path, monkeypatch
     code, out, err = run(capsys, "lattice", str(path), "hypothesis", "16,-8")
     assert code == 1 and out == "" and err.count("\n") == 1
     assert err == "error: the splitting search needs over 50 ledger sums\n"
+
+
+def test_milnor_past_the_old_ceiling(capsys):
+    code, out, _ = run(capsys, "milnor", "x^14+y^15", "--format", "machine")
+    assert code == 0 and parse_machine(out)["mu"] == "182"
+    assert parse_machine(out)["truncation"] == "26"
+    code, out, err = run(capsys, "milnor", "x^4-2*x^2*y^3+y^6")
+    assert code == 1 and out == ""
+    assert err == "error: the partials share a component through the origin\n"
+
+
+def test_milnor_basis_past_the_limit_exit_one(capsys, monkeypatch):
+    code, out, err = run(capsys, "milnor", "x^100000+y^2")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    monkeypatch.setattr(milnor, "SEARCH_LIMIT", 45)
+    assert run(capsys, "milnor", "x^9+y^2")[0] == 0
+    for fmt in ("human", "machine"):
+        code, out, err = run(capsys, "milnor", "x^10+y^2", "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == "error: the monomial basis needs over 45 columns\n"
 
 
 def test_usage_error_exit_two():

@@ -37,7 +37,8 @@ ASSEMBLAGE = [
     "ambient 3 1\ncore chain 4\nboundary d1 -1\nboundary d2 -1\n"
     "step t merge d1 d2 e -3\n",
 ]
-POLYNOMIAL = ["x^3 + y^4", "2*x^2*y - 3/4 y^5 + x^7", "y^2 + y*x^4"]
+POLYNOMIAL = ["x^3 + y^4", "2*x^2*y - 3/4 y^5 + x^7", "y^2 + y*x^4",
+              "x^14 + y^15", "x^4 - 2*x^2*y^3 + y^6", "x^600 + y^2"]
 WORD = ["m(1,2)^2 b(3) s(tag)", "m(1,3)^-1 * m(2,4) m(1,2)"]
 COORDINATES = ["2,0,0,0,0,0", "(1,2)", "-1,3,0,0,0,2"]
 
@@ -172,6 +173,25 @@ def test_cli_hypothesis_on_mutated_ledgers(capsys, tmp_path):
                 answered.append(parse_machine(out)["hypothesis"])
                 assert render_machine(parse_machine(out)) + "\n" == out
     assert len(answered) > 25 and set(answered) == {"certified", "not-certified"}
+
+
+def test_cli_milnor_on_mutated_germs(capsys, tmp_path):
+    """Mutated germs through `milnor`: answers, non-isolated germs and the size bound."""
+    rng = random.Random(9)
+    outcomes = []
+    for _ in range(100):
+        text = mutate(rng, rng.choice(POLYNOMIAL))
+        for fmt in ("machine", "human"):
+            code, out, err = run_cli(capsys, tmp_path, ["milnor", "TEXT"], text, fmt)
+            assert code in (0, 1, 2), (text, err)
+            if code == 1:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            elif code == 0 and fmt == "machine":
+                assert render_machine(parse_machine(out)) + "\n" == out
+            outcomes.append(err if code == 1 else code)
+    assert 0 in outcomes
+    assert "error: the partials share a component through the origin\n" in outcomes
+    assert any("columns" in str(outcome) for outcome in outcomes)
 
 
 def _messy(text: str) -> str:

@@ -4,11 +4,18 @@ from fractions import Fraction
 import pytest
 
 import rspin.milnor as milnormod
-from rspin.errors import InconsistentInputError, NonIsolatedError, UnsupportedTypeError
+from rspin.errors import (
+    InconsistentInputError,
+    NonIsolatedError,
+    NotRepresentableError,
+    UnsupportedTypeError,
+)
 from rspin.milnor import (
+    MilnorResult,
     PlaneGerm,
+    _integer_terms,
+    _intersection,
     _quotient_monomials,
-    _staircase_complement,
     jacobian,
     jet_requirement,
     milnor_number,
@@ -68,8 +75,10 @@ def test_basis_size_and_recompute_stability():
     f = PlaneGerm.parse("x^3+y^4")
     res = milnor_number(f)
     assert len(res.basis) == res.mu
-    again = milnor_number(f, ceiling=res.truncation + 1)
-    assert again.mu == res.mu and again.basis == res.basis
+    # The basis first appears one degree below the truncation and then repeats.
+    for n in (res.truncation - 1, res.truncation, res.truncation + 3):
+        assert tuple(_quotient_monomials(f, n)) == res.basis
+    assert len(_quotient_monomials(f, res.truncation - 2)) < res.mu
 
 
 def test_staircase_property():
@@ -87,15 +96,14 @@ def _brute_complement(generators, n):
             if not any(i <= a and j <= b for i, j in generators)}
 
 
-def test_staircase_complement_against_brute_force():
-    rng = random.Random(23)
-    for n in range(13):
-        triangle = [(a, b) for a in range(n + 1) for b in range(n + 1 - a)]
-        for _ in range(60):
-            size = rng.randint(0, rng.choice((min(n + 2, len(triangle)), len(triangle))))
-            generators = set(rng.sample(triangle, size))
-            assert _staircase_complement(generators, n) == \
-                _brute_complement(generators, n), (n, sorted(generators))
+def test_quotient_monomials_form_a_staircase():
+    # The pivots span an ideal mod m^(n+1) under a monomial order, so the
+    # standard set is exactly what no pivot monomial divides.
+    for f in _random_germs(60, seed=23):
+        for n in range(1, 13):
+            standard = _quotient_monomials(f, n)
+            pivots = {(a, b) for a in range(n + 1) for b in range(n + 1 - a)} - set(standard)
+            assert set(standard) == _brute_complement(pivots, n), (str(f), n)
 
 
 def _grlex_sorted(monomials):
@@ -137,10 +145,7 @@ def _rational_quotient_monomials(f, n):
             inv = row[lead]
             pivot_rows[lead] = {k: v / inv for k, v in row.items()}
     pivot_monos = {columns[p] for p in pivot_rows}
-    standard = {m for m in columns if m not in pivot_monos}
-    if standard != _staircase_complement(pivot_monos, n):
-        return None
-    return _grlex_sorted(standard)
+    return _grlex_sorted(m for m in columns if m not in pivot_monos)
 
 
 def _random_germ(rng):
@@ -149,6 +154,17 @@ def _random_germ(rng):
         i, j = rng.randint(0, 7), rng.randint(0, 7)
         terms[(i, j)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12))
     return PlaneGerm(terms)
+
+
+def _random_germs(count, seed):
+    """Seeded random germs; most carry pure powers x^a and y^b, so most are isolated."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        terms = dict(_random_germ(rng).terms)
+        if rng.random() < 0.6:
+            terms[(rng.randint(2, 7), 0)] = rng.choice([-3, 1, 2])
+            terms[(0, rng.randint(2, 7))] = rng.choice([-2, 1, 3])
+        yield PlaneGerm(terms)
 
 
 def test_fraction_free_elimination_matches_rational():
@@ -195,11 +211,120 @@ def test_milnor_number_matches_rational_elimination(monkeypatch):
         assert milnor_number(PlaneGerm.parse(text)).mu == mu, text
 
 
+def _toolkit_germs():
+    """Brieskorn-Pham x^a + y^b with a + b <= 25 and semi-quasi-homogeneous
+    x^a + y^b + c x^i y^j with i/a + j/b > 1 (the A, D, E normal forms are in
+    `_germ_families`)."""
+    for a in range(2, 13):
+        for b in range(a, 26 - a):
+            yield f"{'23'[b % 2]}*x^{a}+y^{b}"
+    for a in range(3, 10):
+        for b in range(a, 19 - a, 2):
+            for i in range(1, a):
+                j = (a * b - i * b) // a + 1 + (i + b) % 2
+                yield f"x^{a}+3*y^{b}+{i + j}*x^{i}*y^{j}"
+
+
+def _two_degree_oracle(f, ceiling=24):
+    """The loop that answered before the intersection number: raise the
+    truncation degree until two consecutive degrees give the same standard
+    set, and call the germ not isolated past the ceiling."""
+    fx, fy = jacobian(f)
+    prev = None
+    for n in range(max(1, fx.degree(), fy.degree()), ceiling + 1):
+        cur = _quotient_monomials(f, n)
+        if cur == prev:
+            return MilnorResult(len(cur), tuple(cur), n)
+        prev = cur
+    raise NonIsolatedError(f"no stabilization below degree {ceiling}")
+
+
+def test_milnor_number_matches_two_degree_oracle():
+    germs = [PlaneGerm.parse(text) for text in (*_germ_families(), *_toolkit_germs())]
+    germs += _random_germs(200, seed=5)
+    answered = 0
+    for f in germs:
+        fx, fy = jacobian(f)
+        if any(all(m[k] for m in (*fx.terms, *fy.terms)) for k in (0, 1)):
+            # A variable divides both partials: not isolated, whatever the
+            # oracle's cost of running to its ceiling.
+            with pytest.raises(NonIsolatedError):
+                milnor_number(f)
+            continue
+        try:
+            want = _two_degree_oracle(f)
+        except NonIsolatedError:
+            # Either not isolated, or deeper than the oracle's ceiling.
+            try:
+                assert milnor_number(f).truncation > 24, str(f)
+            except NonIsolatedError:
+                pass
+            continue
+        answered += 1
+        assert milnor_number(f) == want, str(f)
+        assert jet_requirement(f, milnor_number(f).basis) == jet_requirement(f, want.basis)
+        bound = fx.degree() * fy.degree()
+        assert _intersection(_integer_terms(fx), _integer_terms(fy), bound) == want.mu, str(f)
+    assert answered > 500
+
+
+def test_answers_past_the_old_degree_ceiling():
+    res = milnor_number(PlaneGerm.parse("x^14+y^15"))
+    assert (res.mu, res.truncation) == (182, 26)
+    assert set(res.basis) == {(i, j) for i in range(13) for j in range(14)}
+    assert jet_requirement(PlaneGerm.parse("x^14+y^15"), res.basis) == 25
+    res = milnor_number(PlaneGerm.parse("x^30+y^2"))
+    assert res.mu == 29 and res.basis == tuple((i, 0) for i in range(29))
+    for text in ("y", "x+y^2", "1+x"):
+        assert milnor_number(PlaneGerm.parse(text)) == MilnorResult(0, (), 2), text
+
+
+def _product(*factors):
+    terms = {(0, 0): Fraction(1)}
+    for text in factors:
+        out = {}
+        for (i, j), c in terms.items():
+            for (a, b), d in PlaneGerm.parse(text).terms.items():
+                out[i + a, j + b] = out.get((i + a, j + b), 0) + c * d
+        terms = {m: c for m, c in out.items() if c}
+    return PlaneGerm(terms)
+
+
+# 8 terms, divisible by x^3 y: once 5.0 s of elimination at truncation degree 20.
+_DENSE = ("-27*x^3*y^2 - 24*x^3*y^6 - 19*x^4*y - 77*x^5*y - 38*x^5*y^3"
+          " + 3*x^5*y^6 + 46*x^4*y^7 + 39*x^9*y^9")
+
+
 def test_non_isolated_errors():
-    with pytest.raises(NonIsolatedError):
-        milnor_number(PlaneGerm.parse("y^2"))
-    with pytest.raises(NonIsolatedError):
-        milnor_number(PlaneGerm.parse("7"))
+    for f in (PlaneGerm.parse("y^2"), PlaneGerm.parse("7"), PlaneGerm.parse("0"),
+              PlaneGerm.parse("x^4-2*x^2*y^3+y^6"), PlaneGerm.parse(_DENSE),
+              _product("x^2-y^3", "x^2-y^3", "1+x+y"),
+              _product("x^2+y^3+x*y", "x^2+y^3+x*y", "x^3-y^4+2")):
+        with pytest.raises(NonIsolatedError):
+            milnor_number(f)
+
+
+def test_squared_factor_is_not_isolated():
+    # f = h^2 k with h(0) = 0: h divides both partials.  h = x^a - c y^b + ...
+    # has no monomial factor, so the intersection loop has to find it.
+    rng = random.Random(31)
+    for _ in range(30):
+        h = f"x^{rng.randint(1, 3)}-{rng.randint(1, 4)}*y^{rng.randint(1, 3)}" + \
+            rng.choice(["", f"+{rng.randint(1, 4)}*x^{rng.randint(1, 2)}*y"])
+        k = "+".join(f"{rng.randint(1, 5)}*x^{rng.randint(0, 3)}*y^{rng.randint(0, 3)}"
+                     for _ in range(rng.randint(1, 3)))
+        with pytest.raises(NonIsolatedError):
+            milnor_number(_product(h, h, k))
+
+
+def test_basis_matrix_size_bound(monkeypatch):
+    with pytest.raises(NotRepresentableError):
+        milnor_number(PlaneGerm.parse("x^100000+y^2"))
+    # 45 columns hold truncation degree 8: x^9 + y^2 fits, x^10 + y^2 does not.
+    monkeypatch.setattr(milnormod, "SEARCH_LIMIT", 45)
+    assert milnor_number(PlaneGerm.parse("x^9+y^2")).mu == 8
+    with pytest.raises(NotRepresentableError, match="over 45 columns"):
+        milnor_number(PlaneGerm.parse("x^10+y^2"))
 
 
 def test_germ_validation():
@@ -207,6 +332,9 @@ def test_germ_validation():
         PlaneGerm({(0, 0): 0})
     with pytest.raises(InconsistentInputError):
         PlaneGerm({(-1, 0): 1})
+    with pytest.raises(InconsistentInputError, match="duplicate"):
+        PlaneGerm([((1, 0), 1), ((1, 0), 2)])
+    assert PlaneGerm([((1, 0), 1), ((0, 2), 2)]).terms == {(1, 0): 1, (0, 2): 2}
 
 
 def test_jet_requirement():
