@@ -23,6 +23,7 @@ convention note).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -244,6 +245,12 @@ def verify_core(core: CurveSystem) -> CoreReport:
     return CoreReport(inv.genus, inv.boundary, inv.euler, is_e_arboreal(core))
 
 
+@functools.cache
+def _e6_a7_report() -> CoreReport:
+    """verify_core of the shared, read-only E6+A7 core, once per process."""
+    return verify_core(e6_a7_core())
+
+
 @dataclass(frozen=True)
 class FramingCertificate:
     core_genus: int
@@ -269,7 +276,7 @@ def _core_state(
     modulus: int,
 ) -> tuple[CoreReport, AssemblageState]:
     """Verify the core and seat the initial boundary values on it."""
-    report = verify_core(core)
+    report = _e6_a7_report() if core is e6_a7_core() else verify_core(core)
     if len(initial_values) != report.boundary:
         raise InconsistentInputError(
             f"core neighborhood has {report.boundary} boundary components; "

@@ -145,13 +145,14 @@ def _cmd_lattice(args) -> int:
 
 
 def _load_config(args) -> curveconf.CurveSystem:
-    count = sum(1 for x in (args.file, args.chain, args.dynkin) if x) + int(args.core)
+    # A given value counts even when it is falsy: --chain 0 is a chain length.
+    count = sum(x is not None for x in (args.file, args.chain, args.dynkin)) + args.core
     if count != 1:
         raise InconsistentInputError(
             "pick exactly one of: a file, --chain N, --dynkin T, --core")
-    if args.chain:
+    if args.chain is not None:
         return curveconf.chain(args.chain)
-    if args.dynkin:
+    if args.dynkin is not None:
         return curveconf.dynkin(args.dynkin)
     if args.core:
         return curveconf.e6_a7_core()

@@ -15,7 +15,8 @@ pairing used elsewhere and do not enter chi/b/g (orientable plumbing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -76,18 +77,18 @@ class CurveSystem:
         self.curves = tuple(curves)
         self.crossings = tuple(crossings)
         self.ambient = ambient
-        self.roles = dict(roles or {})
+        self.roles = MappingProxyType(dict(roles or {}))
         self.note = note
         incident = _incidence(self.curves, self.crossings)
         self.ribbon_given = ribbon is not None
         if ribbon is None:
-            self.ribbon = {c: tuple(idents) for c, idents in incident.items()}
+            ribbon = incident
         else:
-            self.ribbon = {c: tuple(ribbon.get(c, ())) for c in self.curves}
             for c, idents in incident.items():
-                if sorted(self.ribbon[c]) != sorted(idents):
+                if sorted(ribbon.get(c, ())) != sorted(idents):
                     raise InconsistentInputError(
                         f"ribbon data for {c} must list each incident crossing once")
+        self.ribbon = MappingProxyType({c: tuple(ribbon.get(c, ())) for c in self.curves})
 
     # -- basic queries ------------------------------------------------------
 
@@ -344,13 +345,14 @@ def dynkin(kind: str) -> CurveSystem:
     raise UnsupportedTypeError(f"unsupported Dynkin type {kind!r}")
 
 
+@cache
 def e6_a7_core() -> CurveSystem:
     """The 13-curve core: an A7 chain joined to an E6 tree by one edge.
 
     Curves a1..a7 form the chain, b1..b6 the E6 tree (branch vertex b3,
     short-arm leaf b6), and b6 meets a4 once.  The tree thickens to a
     genus-6 surface with two boundary circles, which is what the spanning
-    check certifies.
+    check certifies.  Built once: every caller shares the one read-only system.
     """
     curves = [f"a{i}" for i in range(1, 8)] + [f"b{i}" for i in range(1, 7)]
     xs = [Crossing(f"xa{i}", (f"a{i}", f"a{i+1}")) for i in range(1, 7)]

@@ -212,13 +212,31 @@ def milnor_number(f: PlaneGerm) -> MilnorResult:
     (equal values at n and n + 1 put m^(n+1) in the Jacobian ideal, by
     Nakayama, and the standard sets agree from then on); truncation n + 1 is
     the first degree that repeats the basis.
+
+    That least n is found without passing it.  The rise from n - 1 to n is
+    H(n), the Hilbert function of the graded ring of C[[x,y]]/J, which in two
+    variables never grows past the least degree of J (Macaulay), so from the
+    start degree on.  Each later rise is at most the mean rise over the last
+    jump, and the jump after a count below mu is the fewest degrees that can
+    make up the deficit at that rise.  Every probe is one the degree-by-degree
+    scan would make, and a jump past the largest truncation whose matrix fits
+    `SEARCH_LIMIT` columns proves the basis does not fit.
     """
     fx, fy = jacobian(f)
     mu = _intersection(_integer_terms(fx), _integer_terms(fy), fx.degree() * fy.degree())
     # Below isqrt(2 mu) - 1 the truncated matrix has fewer than mu columns.
     n = max(1, fx.degree(), fy.degree(), math.isqrt(2 * mu) - 1)
-    while len(standard := _quotient_monomials(f, n)) < mu:
-        n += 1
+    top = (math.isqrt(8 * SEARCH_LIMIT + 1) - 3) // 2  # (n+1)(n+2)/2 <= SEARCH_LIMIT
+    standard, rise = _quotient_monomials(f, n), n + 1  # H(n + 1) <= H(n) <= n + 1
+    while len(standard) < mu:
+        jump = -(-(mu - len(standard)) // rise)
+        if n + jump > top:
+            raise NotRepresentableError(
+                f"the monomial basis needs over {SEARCH_LIMIT} columns")
+        longer = _quotient_monomials(f, n + jump)
+        # A zero mean rise below mu cannot happen; 1 keeps the scan finite anyway.
+        rise = max(1, (len(longer) - len(standard)) // jump)
+        n, standard = n + jump, longer
     return MilnorResult(mu, tuple(standard), n + 1)
 
 

@@ -12,6 +12,7 @@ single-writer/multi-reader table of certified jet-ampleness levels.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -450,16 +451,27 @@ def catalog_names() -> list[str]:
     return list(_CATALOG)
 
 
-def catalog_lattice(name: str) -> tuple[PicardLattice, JetLedger]:
+@functools.cache
+def _catalog_entry(name: str) -> tuple[PicardLattice, Optional[DivisorClass]]:
+    """A catalog entry's lattice and very-ample class, built and validated once.
+
+    Both are immutable; a builder that raises is not cached and raises again.
+    """
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise InconsistentInputError(
             f"unknown catalog lattice {name!r}; known: {', '.join(_CATALOG)}") from None
     lattice, very_ample = builder()
+    return lattice, lattice.divisor(very_ample) if very_ample else None
+
+
+def catalog_lattice(name: str) -> tuple[PicardLattice, JetLedger]:
+    """The shared catalog lattice and a fresh ledger the caller may extend."""
+    lattice, very_ample = _catalog_entry(name)
     ledger = JetLedger()
-    if very_ample:
-        ledger.declare(lattice.divisor(very_ample), 1)
+    if very_ample is not None:
+        ledger.declare(very_ample, 1)
     return lattice, ledger
 
 

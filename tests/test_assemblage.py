@@ -7,6 +7,7 @@ import time
 import pytest
 
 import rspin.assemblage as asmmod
+from rspin import cli, picard
 from rspin.assemblage import (
     CORE_VALUES,
     Assemblage,
@@ -29,10 +30,13 @@ from rspin.errors import (
     InconsistentInputError,
     InconsistentStepError,
     InternalInconsistencyError,
+    NotSimpleError,
+    RibbonError,
     UnknownComponentError,
 )
 from rspin.picard import (
     catalog_lattice,
+    catalog_names,
     genus_of_section,
     intersect,
     smoothed_genus,
@@ -187,6 +191,9 @@ def test_certify_flags():
     asm = Assemblage(dynkin("E6"), (), (3, 1))
     cert = certify(asm, [("d", -5)])
     assert cert.filling and not cert.core_genus_ok and not cert.verdict
+    # A tree without E6: the 13-chain has the core's genus 6 and b = 2.
+    cert = certify(Assemblage(chain(13), (), (6, 2)), CORE_VALUES)
+    assert cert.filling and cert.core_genus_ok and not cert.type_e and not cert.verdict
     # Nonzero curve winding blocks the verdict.
     asm, _ = smoothing_assemblage(10, 0, 6)
     first = asm.steps[0]._replace(curve_winding=1)
@@ -401,24 +408,14 @@ def _assert_folds_agree(g_c, g_d, d):
     assert table.expected == expected
 
 
-@pytest.fixture
-def core_checked_once(monkeypatch):
-    # Both folds check the same fixed core; checking it once keeps the
-    # sweeps below to the fold itself.
-    import rspin.assemblage as asmmod
-
-    report = verify_core(e6_a7_core())
-    monkeypatch.setattr(asmmod, "verify_core", lambda core: report)
-
-
-def test_staged_fold_matches_explicit_parameter_box(core_checked_once):
+def test_staged_fold_matches_explicit_parameter_box():
     for g_c in range(13):
         for g_d in range(5):
             for d in range(6, 15):
                 _assert_folds_agree(g_c, g_d, d)
 
 
-def test_staged_fold_matches_explicit_p2_pairs(core_checked_once):
+def test_staged_fold_matches_explicit_p2_pairs():
     lat, _ = catalog_lattice("P2")
     for b in (1, 2, 3):
         for m in range(b + 1, 61):
@@ -791,3 +788,84 @@ def test_parse_and_certify_100k_step_file_is_fast():
     assert len(parsed.steps) == 100_000
     assert cert.verdict and sorted(cert.values()) == sorted(expected)
     assert elapsed < 0.9, f"parse + certify of 100,000 steps took {elapsed:.2f}s"
+
+
+# -- the constant inputs of a report, built and checked once per process ------
+
+
+def _clear_caches():
+    picard._catalog_entry.cache_clear()
+    e6_a7_core.cache_clear()
+    asmmod._e6_a7_report.cache_clear()
+
+
+def _report_grid_argvs():
+    """Reports on every catalog surface with a ledger, C = aH and D = bH with
+    a + b in 7..10, H the ledger's very-ample class."""
+    for name in catalog_names():
+        for h in catalog_lattice(name)[1].classes():
+            for total in range(7, 11):
+                for a in range(1, total):
+                    yield ["report", "--surface", name,
+                           "--C", ",".join(str(a * x) for x in h.coords),
+                           "--D", ",".join(str((total - a) * x) for x in h.coords)]
+
+
+def test_report_grid_is_the_same_with_the_caches_cold_and_warm(capsys, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    argvs = [argv + ["--format", fmt] for argv in _report_grid_argvs()
+             for fmt in ("human", "machine")]
+    assert len({argv[2] for argv in argvs}) == 14 and len(argvs) == 14 * 30 * 2
+
+    def run(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cold = []
+    for argv in argvs:
+        _clear_caches()
+        cold.append(run(argv))
+    # Warm, in the opposite order: no call may see what an earlier one left.
+    _clear_caches()
+    warm = [run(argv) for argv in reversed(argvs)][::-1]
+    assert warm == cold
+    assert sum("verdict=Gamma_L" in out for _, out, _ in cold) > 300
+    info = picard._catalog_entry.cache_info()
+    assert (info.misses, info.hits) == (14, len(argvs) - 14)
+
+
+def test_core_is_verified_once_and_file_cores_every_time(monkeypatch):
+    checked = []
+    check = asmmod.verify_core
+    monkeypatch.setattr(asmmod, "verify_core",
+                        lambda core: checked.append(core) or check(core))
+    _clear_caches()
+    lat, ledger = catalog_lattice("P2")
+    for _ in range(3):
+        assert monodromy_report(lat.divisor((7,)), lat.divisor((3,)), ledger).certificate
+        assert certify(*parse_assemblage(_HEADER)).type_e
+    assert checked == [e6_a7_core()]
+    inline = ("ambient 6 2\ncore inline\ncurves a b\nintersections\nx a b\nend\n"
+              "boundary d -1\n")
+    for _ in range(2):
+        certify(*parse_assemblage(inline))
+    assert len(checked) == 3 and checked[1] is not checked[2]
+
+
+@pytest.mark.parametrize("core,error", [
+    ("curves a b\nintersections\nx a b\ny a b\nribbon a x y\nribbon b x y\n",
+     NotSimpleError),
+    ("curves a b c\nintersections\nx a b\ny b c\nz c a\n", RibbonError),
+], ids=["two-points", "triangle"])
+def test_file_core_that_is_not_simple_or_not_a_tree_is_refused(core, error, capsys, tmp_path):
+    text = f"ambient 6 2\ncore inline\n{core}end\nboundary dC -1\nboundary dD -1\n"
+    with pytest.raises(error):
+        certify(*parse_assemblage(text))
+    path = tmp_path / "asm.txt"
+    path.write_text(text)
+    for fmt in ("human", "machine"):
+        assert cli.main(["assemblage", "run", str(path), "--format", fmt]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: ")

@@ -165,6 +165,13 @@ def test_config_chain_40_is_fast(capsys):
     assert elapsed < 0.5, f"config analyze --chain 40 took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_config_chain_zero_names_the_chain_length(capsys, fmt):
+    # 0 is a given chain length, not a missing --chain.
+    code, out, err = run(capsys, "config", "analyze", "--chain", "0", "--format", fmt)
+    assert (code, out, err) == (1, "", "error: chain length must be >= 1\n")
+
+
 def test_winding_census_large_genus(capsys):
     code, out, _ = run(capsys, "winding", "census", "--g", "7", "--format", "machine")
     assert code == 0
@@ -304,6 +311,16 @@ def test_milnor_basis_past_the_limit_exit_one(capsys, monkeypatch):
         code, out, err = run(capsys, "milnor", "x^10+y^2", "--format", fmt)
         assert code == 1 and out == ""
         assert err == "error: the monomial basis needs over 45 columns\n"
+
+
+def test_milnor_basis_search_refuses_fast(capsys):
+    # mu = 299^2 needs truncation 596; matrices stop at truncation 510.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "milnor", "x^300+y^300")
+    elapsed = time.perf_counter() - start
+    assert code == 1 and out == ""
+    assert err == "error: the monomial basis needs over 131072 columns\n"
+    assert elapsed < 3.0, f"milnor x^300+y^300 took {elapsed:.2f}s to refuse"
 
 
 def test_usage_error_exit_two():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -325,6 +326,41 @@ def test_basis_matrix_size_bound(monkeypatch):
     assert milnor_number(PlaneGerm.parse("x^9+y^2")).mu == 8
     with pytest.raises(NotRepresentableError, match="over 45 columns"):
         milnor_number(PlaneGerm.parse("x^10+y^2"))
+
+
+def _linear_search_oracle(f):
+    """The scan the jumping search replaced: n = start, start + 1, ..."""
+    fx, fy = jacobian(f)
+    mu = _intersection(_integer_terms(fx), _integer_terms(fy), fx.degree() * fy.degree())
+    n = max(1, fx.degree(), fy.degree(), math.isqrt(2 * mu) - 1)
+    while len(standard := _quotient_monomials(f, n)) < mu:
+        n += 1
+    return MilnorResult(mu, tuple(standard), n + 1)
+
+
+def test_basis_search_never_passes_the_least_truncation(monkeypatch):
+    probes = []
+    monkeypatch.setattr(milnormod, "_quotient_monomials",
+                        lambda f, n: probes.append(n) or _quotient_monomials(f, n))
+    deep = ("x^40+y^41", "x^25+y^60", "x^12+y^70+x^7*y^9", "x^31+x*y^29")
+    for text in (*_germ_families(), *_toolkit_germs(), *deep):
+        f = PlaneGerm.parse(text)
+        probes.clear()
+        result = milnor_number(f)
+        # Increasing probes, the last at the least truncation: a subset of the scan's.
+        assert probes == sorted(set(probes)) and probes[-1] == result.truncation - 1, text
+        if text in deep:
+            assert result == _linear_search_oracle(f), text
+            assert len(probes) <= 8, (text, probes)
+    # 5050 columns hold truncation 99, where x^51 + y^52 stabilizes; with
+    # 5049 the search proves it needs more without building that matrix.
+    monkeypatch.setattr(milnormod, "SEARCH_LIMIT", 5050)
+    assert milnor_number(PlaneGerm.parse("x^51+y^52")).truncation == 100
+    monkeypatch.setattr(milnormod, "SEARCH_LIMIT", 5049)
+    probes.clear()
+    with pytest.raises(NotRepresentableError, match="over 5049 columns"):
+        milnor_number(PlaneGerm.parse("x^51+y^52"))
+    assert probes and max(probes) <= 98
 
 
 def test_germ_validation():

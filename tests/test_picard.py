@@ -536,3 +536,44 @@ def test_lattice_format_whitespace_insensitive():
     text = "rank 2\ngram 0 1\n  1 0\ncanonical\n-2 -2\nname thing"
     lat, _ = parse_lattice(text)
     assert lat.rank == 2 and lat.canonical == (-2, -2) and lat.name == "thing"
+
+
+def test_catalog_lattice_is_built_once_with_a_fresh_ledger(capsys):
+    for name in catalog_names():
+        cli.main(["catalog", "show", name])
+        shown = capsys.readouterr().out
+        lattice, ledger = catalog_lattice(name)
+        again, fresh = catalog_lattice(name)
+        assert again is lattice and fresh is not ledger
+        # Extending one caller's ledger leaves every later caller's alone.
+        ledger.declare(-lattice.canonical_class, 9)
+        ledger.declare(lattice.divisor((1,) * lattice.rank), 3)
+        _, later = catalog_lattice(name)
+        assert [(c, later.level(c)) for c in later.classes()] == \
+               [(c, fresh.level(c)) for c in fresh.classes()]
+        cli.main(["catalog", "show", name])
+        assert capsys.readouterr().out == shown
+
+
+def test_catalog_validation_runs_once_and_a_failing_build_every_time(monkeypatch):
+    calls = []
+    validate = picard._validate_genera
+    monkeypatch.setattr(picard, "_validate_genera",
+                        lambda lattice, expected: calls.append(lattice.name)
+                        or validate(lattice, expected))
+    picard._catalog_entry.cache_clear()
+    for _ in range(3):
+        for name in catalog_names():
+            catalog_lattice(name)
+    assert sorted(calls) == sorted(catalog_names())
+
+    # K = -H on a rank-1 lattice gives a line genus 1, not 0: never cached.
+    def wrong_canonical():
+        lattice = PicardLattice(1, ((1,),), (-1,), name="P2-wrong")
+        return picard._validate_genera(lattice, [((1,), 0)]), (1,)
+
+    monkeypatch.setitem(picard._CATALOG, "P2-wrong", wrong_canonical)
+    for _ in range(3):
+        with pytest.raises(InconsistentInputError, match=r"genus of \(1,\) is 1"):
+            catalog_lattice("P2-wrong")
+    assert calls.count("P2-wrong") == 3
