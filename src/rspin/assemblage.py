@@ -24,9 +24,10 @@ convention note).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .curveconf import (
     CurveSystem,
@@ -78,9 +79,12 @@ class AssemblageStep(_StepFields):
     merge: the arc joins `component` and `other`, replacing values (v1, v2)
     by the declared value v = v1 + v2 - 1.
 
-    A named tuple rather than a frozen dataclass: explicit assemblages hold
-    one record per step, and building and unpacking a tuple costs a fraction
-    of a dataclass.  `_replace` validates like the constructor.
+    A named tuple rather than a frozen dataclass: a step file or an explicit
+    construction yields one record per step, and building and unpacking a
+    tuple costs a fraction of a dataclass.  `assemblage run` folds each
+    record as its line is read and keeps none; `parse_assemblage` and
+    `smoothing_assemblage` hold them all.  `_replace` validates like the
+    constructor.
     """
 
     __slots__ = ()
@@ -145,8 +149,14 @@ class AssemblageState:
                 f"(mod {self.modulus})")
 
 
-def _fold(state: AssemblageState, steps: Iterable[AssemblageStep]) -> AssemblageState:
-    """Attach `steps` to `state` in order, O(1) per step.
+def _fold(
+    state: AssemblageState,
+    steps: Iterable[AssemblageStep],
+) -> tuple[AssemblageState, bool]:
+    """Attach `steps` to `state` in order, O(1) per step, reading them once.
+
+    Returns the state reached and whether every attached curve carries
+    winding zero (mod r).
 
     The boundary is kept as an insertion-ordered name -> value map with a
     running value sum, so a step's lookup, name-reuse check, sum rule and
@@ -163,7 +173,10 @@ def _fold(state: AssemblageState, steps: Iterable[AssemblageStep]) -> Assemblage
         raise InconsistentInputError("boundary names must be distinct")
     genus, total = state.genus, sum(values.values())
     coherent = state.is_coherent()
-    for curve, mode, component, other, names, declared, _ in steps:
+    windings_zero = True
+    for curve, mode, component, other, names, declared, winding in steps:
+        if winding and not residues_equal(winding, 0, r):
+            windings_zero = False
         if component not in values:
             raise UnknownComponentError(f"no boundary component {component!r}")
         if mode == "split":
@@ -204,7 +217,7 @@ def _fold(state: AssemblageState, steps: Iterable[AssemblageStep]) -> Assemblage
             if not residues_equal(total, chi, r):
                 raise InternalInconsistencyError(
                     f"coherence failed: sum {total} != chi {chi} (mod {r})")
-    return AssemblageState(genus, tuple(values.items()), r)
+    return AssemblageState(genus, tuple(values.items()), r), windings_zero
 
 
 def apply_step(state: AssemblageState, step: AssemblageStep) -> AssemblageState:
@@ -214,7 +227,7 @@ def apply_step(state: AssemblageState, step: AssemblageStep) -> AssemblageState:
     a coherent state stays coherent; the engine re-checks that whenever the
     state it starts from is coherent.
     """
-    return _fold(state, (step,))
+    return _fold(state, (step,))[0]
 
 
 @dataclass(frozen=True)
@@ -294,18 +307,17 @@ def _core_state(
 def _judge(
     report: CoreReport,
     state: AssemblageState,
+    windings_zero: bool,
     ambient: tuple[int, int],
-    steps: Sequence[AssemblageStep],
 ) -> FramingCertificate:
-    """Generation criteria for a folded state; `steps` are the attached curves."""
+    """Generation criteria for a folded state and the fold's winding verdict."""
     flags = dict(
         type_e=report.type_e,
         core_genus_ok=report.genus >= 5,
         ambient_genus_ok=ambient[0] >= 5,
         boundary_ok=state.b >= 1,
         filling=(state.genus, state.b) == tuple(ambient),
-        windings_zero=all(residues_equal(w, 0, state.modulus)
-                          for w in {s.curve_winding for s in steps}),
+        windings_zero=windings_zero,
     )
     return FramingCertificate(
         core_genus=report.genus,
@@ -329,8 +341,28 @@ def certify(
     invariants fill the ambient surface, and every attached curve carries
     winding zero.
     """
-    report, state = _core_state(asm.core, initial_values, asm.modulus)
-    return _judge(report, _fold(state, asm.steps), asm.ambient, asm.steps)
+    return certify_steps(asm.core, asm.ambient, asm.modulus, initial_values,
+                         asm.steps)[0]
+
+
+def certify_steps(
+    core: CurveSystem,
+    ambient: tuple[int, int],
+    modulus: int,
+    initial_values: Sequence[tuple[str, int]],
+    steps: Iterable[AssemblageStep],
+) -> tuple[FramingCertificate, int]:
+    """`certify` on the fields of an Assemblage, reading `steps` once in one pass.
+
+    Returns the certificate and the number of steps folded.  `assemblage
+    run` passes the header and lazy steps of `read_assemblage` here, so no
+    step record outlives its line and the first error in the file is the
+    one raised.
+    """
+    report, state = _core_state(core, initial_values, modulus)
+    cert = _judge(report, *_fold(state, steps), ambient)
+    # Every step, split or merge, lowers chi by exactly one.
+    return cert, report.chi - cert.final_chi
 
 
 def capping_order(values: Sequence[int]) -> int:
@@ -491,30 +523,29 @@ def _fold_stage(
     sides: Sides,
     values: tuple[int, int],
     serial: int,
-    folded: list[AssemblageStep],
-) -> tuple[AssemblageState, Sides]:
+) -> tuple[AssemblageState, Sides, bool]:
     """Fold repeats 0 and n - 1 of a non-empty stage entered at `state`.
 
     Returns the state and section boundary names the explicit fold of all n
-    repeats reaches; the steps folded are appended to `folded`.
+    repeats reaches, and whether the curves of the folded repeats carry
+    winding zero.
     """
 
     def repeat(k, entry, entry_sides):
         pair, out = stage.pattern(k, serial + k * stage.serials, entry_sides,
                                   stage.values_at(values, k))
-        folded.extend(pair)
-        entry = _fold(entry, pair)
+        entry, windings_zero = _fold(entry, pair)
         landing = tuple(zip(out, stage.values_at(values, k + 1)))
         if sorted(entry.boundaries) != sorted(landing):
             raise InconsistentStepError(
                 f"stage repeat {k} lands on {entry.boundaries}; the stage "
                 f"table says {landing}")
-        return entry, out
+        return entry, out, windings_zero
 
-    after, out = repeat(0, state, sides)
+    after, out, first_zero = repeat(0, state, sides)
     k = stage.repeats - 1
     if k == 0:
-        return after, out
+        return after, out, first_zero
     # Names entering repeat k come from repeat k - 1; genus and values are the
     # stage entry's, advanced by k repeats.
     _, entry_sides = stage.pattern(k - 1, serial + (k - 1) * stage.serials, sides,
@@ -524,7 +555,8 @@ def _fold_stage(
                             tuple(rename[n] for n, _ in after.boundaries),
                             state.modulus)
     entry.check_coherence()
-    return repeat(k, entry, entry_sides)
+    last, out, last_zero = repeat(k, entry, entry_sides)
+    return last, out, first_zero and last_zero
 
 
 def certify_two_section(table: TwoSection) -> FramingCertificate:
@@ -540,13 +572,14 @@ def certify_two_section(table: TwoSection) -> FramingCertificate:
     """
     report, state = _core_state(table.core, CORE_VALUES, 0)
     sides, values, serial = _CORE_SIDES, _CORE_START, 0
-    folded: list[AssemblageStep] = []
+    windings_zero = True
     for stage in table.stages:
         if stage.repeats:
-            state, sides = _fold_stage(stage, state, sides, values, serial, folded)
+            state, sides, stage_zero = _fold_stage(stage, state, sides, values, serial)
+            windings_zero = windings_zero and stage_zero
         values = stage.values_at(values, stage.repeats)
         serial += stage.repeats * stage.serials
-    return _judge(report, state, table.ambient, folded)
+    return _judge(report, state, windings_zero, table.ambient)
 
 
 # -- monodromy report ---------------------------------------------------------
@@ -675,8 +708,12 @@ def monodromy_report(
 #   step t5 merge dC dD j1 -13
 #   step delta5 split j1 dC2 -10 dD2 -4
 #
+# Header lines come before the first step line.
 # Split steps: step <curve> split <old> <new1> <v1> <new2> <v2>
 # Merge steps: step <curve> merge <b1> <b2> <new> <v>
+
+
+_HEADER_KEYWORDS = ("modulus", "ambient", "core", "boundary")
 
 
 def _fields(parts: list[str], line: str, form: str) -> list[str]:
@@ -686,55 +723,28 @@ def _fields(parts: list[str], line: str, form: str) -> list[str]:
     return parts[1:]
 
 
-def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
+def read_assemblage(
+    text: str,
+) -> tuple[CurveSystem, tuple[int, int], int, list[tuple[str, int]],
+           Iterator[AssemblageStep]]:
+    """The header of an assemblage description and a lazy iterator of its steps.
+
+    Reads the header lines up to the first step line and returns the core,
+    the ambient (genus, boundary), the modulus, the initial boundary values,
+    and an iterator that validates each step line only when it reaches it.
+    A caller that folds the steps as they come holds one record at a time.
+    """
+    lines = read_lines(text)
     modulus = 0
     ambient = None
     core: Optional[CurveSystem] = None
     values: list[tuple[str, int]] = []
-    steps: list[AssemblageStep] = []
-    config_lines: list[str] = []
-    in_config = False
-    for line, parts in read_lines(text):
+    first: tuple = ()
+    for line, parts in lines:
         head = parts[0]
-        if head == "step" and not in_config:
-            # Step lines are nearly all of a long file: read their values
-            # with int() and quote the line only on error.
-            n = len(parts)
-            mode = parts[2] if n > 2 else ""
-            if mode == "split" and n == 8:
-                _, curve, _, old, n1, v1, n2, v2 = parts
-                try:
-                    new_values = (int(v1), int(v2))
-                except ValueError:
-                    new_values = (int_token(v1, line), int_token(v2, line))
-                steps.append(AssemblageStep(curve, mode, old, "", (n1, n2), new_values))
-            elif mode == "merge" and n == 7:
-                _, curve, _, b1, b2, new, v = parts
-                try:
-                    new_value = int(v)
-                except ValueError:
-                    new_value = int_token(v, line)
-                steps.append(AssemblageStep(curve, mode, b1, b2, (new,), (new_value,)))
-            elif n < 3:
-                raise InconsistentInputError(f"malformed step line {line!r}")
-            elif mode == "split":
-                raise InconsistentInputError(
-                    f"split step needs: step <curve> split <old> <n1> <v1> "
-                    f"<n2> <v2>; got {line!r}")
-            elif mode == "merge":
-                raise InconsistentInputError(
-                    f"merge step needs: step <curve> merge <b1> <b2> <new> "
-                    f"<v>; got {line!r}")
-            else:
-                raise InconsistentInputError(f"unknown step mode {mode!r}")
-            continue
-        if in_config:
-            if parts == ["end"]:
-                in_config = False
-                core = parse_curve_system("\n".join(config_lines))
-            else:
-                config_lines.append(line)
-            continue
+        if head == "step":
+            first = ((line, parts),)
+            break
         if head == "modulus":
             (r,) = _fields(parts, line, "modulus <r>")
             modulus = int_token(r, line)
@@ -754,8 +764,15 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
                 core = dynkin(kind)
             elif spec == "inline":
                 _fields(parts, line, "core inline")
-                in_config = True
-                config_lines = []
+                # The block runs to its `end` line, step lines included.
+                block = []
+                for row, tokens in lines:
+                    if tokens == ["end"]:
+                        core = parse_curve_system("\n".join(block))
+                        break
+                    block.append(row)
+                else:
+                    raise InconsistentInputError("core inline block has no 'end' line")
             else:
                 raise InconsistentInputError(
                     "expected 'core e6a7 | chain <n> | dynkin <type> | inline'; "
@@ -769,4 +786,50 @@ def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
         raise InconsistentInputError("assemblage description needs a core")
     if ambient is None:
         raise InconsistentInputError("assemblage description needs an ambient")
+    return core, ambient, modulus, values, _read_steps(itertools.chain(first, lines))
+
+
+def _read_steps(lines: Iterator[tuple[str, list[str]]]) -> Iterator[AssemblageStep]:
+    """The record of each step line, built and validated as its line is reached."""
+    for line, parts in lines:
+        if parts[0] != "step":
+            if parts[0] in _HEADER_KEYWORDS:
+                raise InconsistentInputError(
+                    f"header line {line!r} comes after the first step")
+            raise InconsistentInputError(f"unrecognized assemblage line {line!r}")
+        # Step lines are nearly all of a long file: read their values with
+        # int() and quote the line only on error.
+        n = len(parts)
+        mode = parts[2] if n > 2 else ""
+        if mode == "split" and n == 8:
+            _, curve, _, old, n1, v1, n2, v2 = parts
+            try:
+                new_values = (int(v1), int(v2))
+            except ValueError:
+                new_values = (int_token(v1, line), int_token(v2, line))
+            yield AssemblageStep(curve, mode, old, "", (n1, n2), new_values)
+        elif mode == "merge" and n == 7:
+            _, curve, _, b1, b2, new, v = parts
+            try:
+                new_value = int(v)
+            except ValueError:
+                new_value = int_token(v, line)
+            yield AssemblageStep(curve, mode, b1, b2, (new,), (new_value,))
+        elif n < 3:
+            raise InconsistentInputError(f"malformed step line {line!r}")
+        elif mode == "split":
+            raise InconsistentInputError(
+                f"split step needs: step <curve> split <old> <n1> <v1> "
+                f"<n2> <v2>; got {line!r}")
+        elif mode == "merge":
+            raise InconsistentInputError(
+                f"merge step needs: step <curve> merge <b1> <b2> <new> "
+                f"<v>; got {line!r}")
+        else:
+            raise InconsistentInputError(f"unknown step mode {mode!r}")
+
+
+def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
+    """`read_assemblage` with every step read into the Assemblage."""
+    core, ambient, modulus, values, steps = read_assemblage(text)
     return Assemblage(core, tuple(steps), ambient, modulus), values

@@ -18,7 +18,7 @@ from . import curveconf
 from . import milnor as milnormod
 from . import picard
 from . import winding as windmod
-from .errors import DomainError, InconsistentInputError
+from .errors import DomainError, InconsistentInputError, read_text
 
 
 def _coords(text: str) -> tuple[int, ...]:
@@ -156,8 +156,7 @@ def _load_config(args) -> curveconf.CurveSystem:
         return curveconf.dynkin(args.dynkin)
     if args.core:
         return curveconf.e6_a7_core()
-    with open(args.file, "r", encoding="utf-8") as fh:
-        return curveconf.parse_curve_system(fh.read())
+    return curveconf.parse_curve_system(read_text(args.file))
 
 
 def _cmd_config(args) -> int:
@@ -203,8 +202,7 @@ def _cmd_winding(args) -> int:
         _emit(q, [f"genus {args.g}: {census[0]} forms with Arf 0, "
                   f"{census[1]} with Arf 1"], fmt)
         return 0
-    with open(args.file, "r", encoding="utf-8") as fh:
-        ctx, curves, word = windmod.parse_winding(fh.read())
+    ctx, curves, word = windmod.parse_winding(read_text(args.file))
     q = {"modulus": ctx.modulus, "word": repr(word)}
     human = [f"context: g = {ctx.genus}, b = {len(ctx.boundary)}, "
              f"r = {ctx.modulus}", f"word: {word!r}", ""]
@@ -245,16 +243,15 @@ def _certificate_quantities(cert: asmmod.FramingCertificate) -> dict:
 
 
 def _cmd_assemblage(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        asm, values = asmmod.parse_assemblage(fh.read())
-    cert = asmmod.certify(asm, values)
+    core, ambient, modulus, values, steps = asmmod.read_assemblage(read_text(args.file))
+    cert, count = asmmod.certify_steps(core, ambient, modulus, values, steps)
     q = _certificate_quantities(cert)
     human = [
         f"core: genus {cert.core_genus}, type E: {cert.type_e}",
-        f"after {len(asm.steps)} steps: g = {cert.final_genus}, "
+        f"after {count} steps: g = {cert.final_genus}, "
         f"b = {cert.final_boundary}, chi = {cert.final_chi}",
         f"boundary values: {q['boundary_values']}",
-        f"filling ambient {asm.ambient}: {cert.filling}",
+        f"filling ambient {ambient}: {cert.filling}",
         f"capping order: {q['capping_order']}",
         ("verdict: twists about the listed curves generate the framed "
          "mapping class group" if cert.verdict else

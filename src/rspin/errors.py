@@ -2,10 +2,11 @@
 
 All domain failures derive from DomainError so the CLI can map them to
 exit status 1 uniformly; usage errors are argparse's business (status 2).
-Every file parser reads its text through `read_lines` and its integers
-through `int_token`, so a bad token is an InconsistentInputError that quotes
-the token and its line, not Python's ValueError.  Twist words and braid
-words split `name^e` with `power`.
+Every input file is read through `read_text`, and every file parser reads
+its text through `read_lines` and its integers through `int_token`, so a
+file that is not UTF-8 or a bad token is an InconsistentInputError that
+names the file or quotes the token and its line, not Python's ValueError.
+Twist words and braid words split `name^e` with `power`.
 """
 
 from typing import Iterator
@@ -88,6 +89,17 @@ def int_token(token: str, line: str) -> int:
     except ValueError:
         raise InconsistentInputError(
             f"expected an integer, got {token!r} in {line!r}") from None
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path`; other bytes are an InconsistentInputError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InconsistentInputError(
+            f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def read_lines(text: str) -> Iterator[tuple[str, list[str]]]:

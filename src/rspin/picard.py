@@ -28,6 +28,7 @@ from .errors import (
     UncertifiedError,
     int_token,
     read_lines,
+    read_text,
 )
 
 
@@ -572,8 +573,8 @@ def resolve_lattice(spec: str) -> tuple[PicardLattice, JetLedger]:
     if spec in _CATALOG:
         return catalog_lattice(spec)
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_lattice(fh.read())
+        text = read_text(spec)
     except OSError:
         raise InconsistentInputError(
             f"{spec!r} is neither a catalog name nor a readable file") from None
+    return parse_lattice(text)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -333,6 +334,12 @@ _HEADER = "ambient 7 2\ncore e6a7\nboundary dC -9\nboundary dD -3\n"
     ("step t5 split dC a -5 a -5", "step t5: split needs two distinct new names"),
     ("step t5 twist dC", "unknown step mode 'twist'"),
     ("step t5 twist dC dD j1 -13", "unknown step mode 'twist'"),
+    ("step t5 merge dC dD j1 -13\nboundary dE 0",
+     "header line 'boundary dE 0' comes after the first step"),
+    ("step t5 merge dC dD j1 -13\nbound dE 0", "unrecognized assemblage line 'bound dE 0'"),
+    # An unterminated block would swallow the steps after it.
+    ("core inline\ncurves a b\nstep t5 merge dC dD j1 -13",
+     "core inline block has no 'end' line"),
 ])
 def test_parse_assemblage_step_messages(line, message):
     with pytest.raises(InconsistentInputError) as exc:
@@ -653,11 +660,13 @@ def _assert_fold_matches_oracle(state, steps):
     """The fold reaches the oracle's state, or fails at its step with its error."""
     reached, error = _rescan_fold(state, steps)
     if error is None:
-        folded = asmmod._fold(state, steps)
+        folded, windings_zero = asmmod._fold(state, steps)
         assert folded == reached and folded.boundaries == reached.boundaries
+        assert windings_zero == all(residues_equal(s.curve_winding, 0, state.modulus)
+                                    for s in steps)
     else:
         index, kind, message = error
-        assert asmmod._fold(state, steps[:index]) == reached
+        assert asmmod._fold(state, steps[:index])[0] == reached
         with pytest.raises(kind) as exc:
             asmmod._fold(state, steps)
         assert str(exc.value) == message
@@ -722,7 +731,9 @@ def test_certify_matches_rescanning_oracle(modulus):
             asm = Assemblage(core, steps, ambient, modulus)
             got = _outcome(lambda: certify(asm, initial))
             if error is None:
-                want = asmmod._judge(report, reached, ambient, steps)
+                windings_zero = all(residues_equal(s.curve_winding, 0, modulus)
+                                    for s in steps)
+                want = asmmod._judge(report, reached, windings_zero, ambient)
                 assert got == (want, None)
                 assert got[0].boundary_values == reached.boundaries
             else:
@@ -772,15 +783,20 @@ def _step_line(step):
             f"{step.new_names[0]} {step.new_values[0]}")
 
 
-def test_parse_and_certify_100k_step_file_is_fast():
-    # The same 100,000 steps as a file.  On a 2-vCPU Xeon VM parse + certify
-    # took about 0.7 s with a frozen-dataclass step record and a parse that
-    # split every line twice; with a named-tuple record, about 0.45 s.
+def _100k_step_file():
+    """The 100,000 steps of `smoothing_assemblage(25003, 0, 25004)` as a file."""
     asm, expected = smoothing_assemblage(25003, 0, 25004)
     text = "\n".join(["ambient %d %d" % asm.ambient, "core e6a7"]
                      + [f"boundary {n} {v}" for n, v in CORE_VALUES]
                      + [_step_line(step) for step in asm.steps]) + "\n"
-    del asm
+    return text, expected
+
+
+def test_parse_and_certify_100k_step_file_is_fast():
+    # On a 2-vCPU Xeon VM parse + certify took about 0.7 s with a
+    # frozen-dataclass step record and a parse that split every line twice;
+    # with a named-tuple record, about 0.45 s.
+    text, expected = _100k_step_file()
     start = time.perf_counter()
     parsed, values = parse_assemblage(text)
     cert = certify(parsed, values)
@@ -788,6 +804,27 @@ def test_parse_and_certify_100k_step_file_is_fast():
     assert len(parsed.steps) == 100_000
     assert cert.verdict and sorted(cert.values()) == sorted(expected)
     assert elapsed < 0.9, f"parse + certify of 100,000 steps took {elapsed:.2f}s"
+
+
+def test_run_folds_a_100k_step_file_as_it_reads(tmp_path, capsys):
+    # Folding each step as its line is read peaks at about 160 B a step (the
+    # text and its lines); holding every step record, at about 690 B.
+    text, expected = _100k_step_file()
+    path = tmp_path / "steps.asm"
+    path.write_text(text)
+    del text
+    tracemalloc.start()
+    try:
+        code = cli.main(["assemblage", "run", str(path), "--format", "machine"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    q = cli.parse_machine(capsys.readouterr().out)
+    assert code == 0 and q["verdict"] == "generates"
+    assert int(q["final_chi"]) == 2 - 2 * 6 - 2 - 100_000
+    assert sorted(int(b.split(":")[1]) for b in q["boundary_values"].split(",")) == \
+        sorted(expected)
+    assert peak < 200 * 100_000, f"peak {peak / 100_000:.0f} B a step"
 
 
 # -- the constant inputs of a report, built and checked once per process ------

@@ -1,8 +1,10 @@
+import random
 import time
 
 import pytest
 
-from rspin import milnor, picard
+from rspin import cli, milnor, picard
+from rspin.assemblage import certify, parse_assemblage
 from rspin.cli import main, parse_machine, render_machine
 
 
@@ -115,6 +117,114 @@ def test_assemblage_cli(capsys, tmp_path):
     assert code == 0
     pairs = parse_machine(out)
     assert pairs["final_genus"] == "7" and pairs["capping_order"] == "3"
+
+
+def _step_file(rng, core, genus, b, steps):
+    """A random coherent split/merge file over `core` (genus, b boundary circles),
+    shaped like the benchmark's step files."""
+    modulus = rng.choice((0, 0, 2, 5, 12))
+    values = [rng.randint(-10, 10) for _ in range(b - 1)]
+    values.append(2 - 2 * genus - b - sum(values))
+    state = [(f"bd{i + 1}", v) for i, v in enumerate(values)]
+    lines = [f"modulus {modulus}", core] + [f"boundary {n} {v}" for n, v in state]
+    for i in range(steps):
+        if len(state) == 1 or (len(state) < 6 and rng.random() < 0.5):
+            name, v = state.pop(rng.randrange(len(state)))
+            v1 = rng.randint(-10, 10)
+            lines.append(f"step h{i} split {name} n{i}a {v1} n{i}b {v - 1 - v1}")
+            state += [(f"n{i}a", v1), (f"n{i}b", v - 1 - v1)]
+        else:
+            (n1, v1), (n2, v2) = rng.sample(state, 2)
+            state = [s for s in state if s[0] not in (n1, n2)] + [(f"n{i}", v1 + v2 - 1)]
+            lines.append(f"step h{i} merge {n1} {n2} n{i} {v1 + v2 - 1}")
+            genus += 1
+    ambient = (genus, len(state)) if rng.random() < 0.75 else (genus + 1, len(state))
+    lines.insert(1, f"ambient {ambient[0]} {ambient[1]}")
+    return "\n".join(lines) + "\n"
+
+
+def _run_before_streaming(text, fmt):
+    """`assemblage run` stdout as rendered when every step was parsed before the fold."""
+    asm, values = parse_assemblage(text)
+    cert = certify(asm, values)
+    q = cli._certificate_quantities(cert)
+    if fmt == "machine":
+        return render_machine(q) + "\n"
+    return "\n".join([
+        f"core: genus {cert.core_genus}, type E: {cert.type_e}",
+        f"after {len(asm.steps)} steps: g = {cert.final_genus}, "
+        f"b = {cert.final_boundary}, chi = {cert.final_chi}",
+        f"boundary values: {q['boundary_values']}",
+        f"filling ambient {asm.ambient}: {cert.filling}",
+        f"capping order: {q['capping_order']}",
+        ("verdict: twists about the listed curves generate the framed "
+         "mapping class group" if cert.verdict else
+         "verdict: criteria not met (inapplicable)"),
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("core,genus,b", [
+    ("core e6a7", 6, 2), ("core chain 7", 3, 2), ("core dynkin A6", 3, 1),
+    ("core dynkin E6", 3, 1),
+    ("core inline\n  curves a b c d\n  intersections\n  x a b\n  y b c\n  z c d\nend",
+     2, 1),
+], ids=["e6a7", "chain", "dynkin-A", "dynkin-E6", "inline"])
+def test_assemblage_run_output_is_unchanged_by_streaming(capsys, tmp_path, core, genus, b):
+    rng = random.Random(core)
+    path = tmp_path / "steps.asm"
+    verdicts = set()
+    for steps in (0, 1, 2, 50, 400):
+        text = _step_file(rng, core, genus, b, steps)
+        path.write_text(text)
+        for fmt in ("human", "machine"):
+            code, out, err = run(capsys, "assemblage", "run", str(path), "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == _run_before_streaming(text, fmt)
+            if fmt == "machine":
+                verdicts.add(parse_machine(out)["verdict"])
+    if core == "core e6a7":
+        assert verdicts >= {"generates", "inapplicable"}
+
+
+_ASSEMBLAGE_HEADER = "ambient 7 2\ncore e6a7\nboundary dC -9\nboundary dD -3\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_assemblage_header_after_a_step_exit_one(capsys, tmp_path, fmt):
+    path = tmp_path / "steps.asm"
+    path.write_text(_ASSEMBLAGE_HEADER + "step t5 merge dC dD j1 -13\n"
+                    "boundary dE 0  # too late\n")
+    code, out, err = run(capsys, "assemblage", "run", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "error: header line 'boundary dE 0' comes after the first step\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_assemblage_run_reports_the_first_error_in_the_file(capsys, tmp_path, fmt):
+    # Steps fold as they are read, so the unknown component of step 2 is
+    # found before the malformed last line is read.
+    path = tmp_path / "steps.asm"
+    path.write_text(_ASSEMBLAGE_HEADER + "step t5 merge dC dD j1 -13\n"
+                    "step t6 split ghost a -5 b -5\n"
+                    "step delta5 split j1 dC2 -10 dD2 -4\n"
+                    "step t7 split\n")
+    code, out, err = run(capsys, "assemblage", "run", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "error: no boundary component 'ghost'\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize("argv", [
+    ("lattice", "FILE", "info"), ("config", "analyze", "FILE"), ("winding", "act", "FILE"),
+    ("assemblage", "run", "FILE"), ("report", "--surface", "FILE", "--C", "6", "--D", "1"),
+], ids=["lattice", "config", "winding", "assemblage", "report"])
+def test_non_utf8_file_exit_one(capsys, tmp_path, argv, fmt):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"modulus 0\n\xff\n")
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv),
+                         "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == f"error: {str(path)!r} is not UTF-8 text: invalid start byte at byte 10\n"
 
 
 def test_lattice_cli(capsys):

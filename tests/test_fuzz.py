@@ -2,8 +2,9 @@
 
 Each seed input is valid; mutations delete, duplicate or swap tokens and
 lines, insert `#`, `^`, `,`, `²` or `1.5`, truncate a line, and switch to
-CRLF endings.  A parser may reject the result only with a DomainError, and
-the CLI may only exit 0, 1 or 2.
+CRLF endings; some input files also get bytes that are not UTF-8.  A parser
+may reject the result only with a DomainError, and the CLI may only exit 0,
+1 or 2.
 """
 
 import random
@@ -41,15 +42,20 @@ POLYNOMIAL = ["x^3 + y^4", "2*x^2*y - 3/4 y^5 + x^7", "y^2 + y*x^4",
               "x^14 + y^15", "x^4 - 2*x^2*y^3 + y^6", "x^600 + y^2"]
 WORD = ["m(1,2)^2 b(3) s(tag)", "m(1,3)^-1 * m(2,4) m(1,2)"]
 COORDINATES = ["2,0,0,0,0,0", "(1,2)", "-1,3,0,0,0,2"]
+NAME = ["P2", "P1xP1", "dP6", "K3-4"]
+# Mutations never make a genus larger than its seed, so every census stays small.
+GENUS = ["0", "3", "12"]
 
 # kind -> (parser, seeds, CLI argv templates); FILE is replaced by a path
 # holding the input, TEXT by the input itself and CLASS by a class 7,...,7 of
-# the rank the input declares.
+# the rank the input declares.  Kinds with no parser of their own are fuzzed
+# through the CLI only.
 KINDS = {
     "lattice": (picard.parse_lattice, LATTICE,
                 [["lattice", "FILE", "info"], ["lattice", "FILE", "lefschetz"],
                  ["lattice", "FILE", "hypothesis", "CLASS"],
-                 ["report", "--surface", "FILE", "--C", "6", "--D", "1"]]),
+                 ["report", "--surface", "FILE", "--C", "6", "--D", "1"],
+                 ["report", "--surface", "FILE", "--C", "CLASS", "--D", "CLASS"]]),
     "config": (curveconf.parse_curve_system, CONFIG, [["config", "analyze", "FILE"]]),
     "winding": (winding.parse_winding, WINDING, [["winding", "act", "FILE"]]),
     "assemblage": (parse_assemblage, ASSEMBLAGE, [["assemblage", "run", "FILE"]]),
@@ -59,7 +65,13 @@ KINDS = {
                     [["mainlemma", "--k=TEXT"],
                      ["mainlemma", "--k=2,0,0,0,0,0", "--arc=TEXT"],
                      ["lattice", "P1xP1", "genus", "TEXT"]]),
+    "name": (None, NAME, [["catalog", "show", "TEXT"]]),
+    "genus": (None, GENUS, [["winding", "census", "--g", "TEXT"]]),
 }
+
+# A bad start byte, a stray continuation byte and an encoded surrogate: each
+# leaves the file invalid UTF-8 wherever it is spliced in.
+NOT_UTF8 = [b"\xff", b"\x80", b"\xed\xa0\x80"]
 
 JUNK = ["#", "^", ",", "²", "1.5"]
 
@@ -97,10 +109,9 @@ def mutate(rng: random.Random, text: str) -> str:
     return out.replace("\n", "\r\n") if rng.random() < 0.25 else out
 
 
-def corpus(seed: int, count: int):
-    """`count` mutated inputs as (kind, text), cycling through the kinds."""
+def corpus(seed: int, count: int, kinds: tuple[str, ...] = tuple(KINDS)):
+    """`count` mutated inputs as (kind, text), cycling through `kinds`."""
     rng = random.Random(seed)
-    kinds = list(KINDS)
     for n in range(count):
         kind = kinds[n % len(kinds)]
         yield kind, mutate(rng, rng.choice(KINDS[kind][1]))
@@ -108,7 +119,8 @@ def corpus(seed: int, count: int):
 
 def test_parsers_raise_only_domain_errors():
     rejected = 0
-    for kind, text in corpus(6, 10_500):
+    parsed = tuple(kind for kind, (parser, _, _) in KINDS.items() if parser)
+    for kind, text in corpus(6, 10_500, parsed):
         try:
             KINDS[kind][0](text)
         except DomainError:
@@ -120,15 +132,21 @@ def test_parsers_raise_only_domain_errors():
 
 
 def cli_cases(seed: int, count: int):
-    """`count` CLI argv templates with a mutated input each."""
+    """`count` CLI argv templates with a mutated input each, as text and as the
+    bytes of its file; a quarter of the files also get bytes that are not UTF-8."""
     rng = random.Random(seed)
     for kind, text in corpus(seed, count):
-        yield rng.choice(KINDS[kind][2]), text
+        template = rng.choice(KINDS[kind][2])
+        data = text.encode("utf-8")
+        if "FILE" in template and rng.random() < 0.25:
+            cut = rng.randrange(len(data) + 1)
+            data = data[:cut] + rng.choice(NOT_UTF8) + data[cut:]
+        yield template, text, data
 
 
-def run_cli(capsys, path, template, text, fmt):
+def run_cli(capsys, path, template, text, fmt, data=None):
     if "FILE" in template:
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text.encode("utf-8") if data is None else data)
     rank = re.search(r"rank\s+(\d)\b", text)
     seven = ",".join("7" * int(rank.group(1) if rank else 1))
     argv = [a.replace("FILE", str(path)).replace("TEXT", text).replace("CLASS", seven)
@@ -144,16 +162,24 @@ def run_cli(capsys, path, template, text, fmt):
 def test_cli_on_mutated_inputs(capsys, tmp_path):
     path = tmp_path / "input.txt"
     codes = set()
-    for template, text in cli_cases(7, 300):
+    not_utf8 = 0
+    for template, text, data in cli_cases(7, 400):
         for fmt in ("machine", "human"):
-            code, out, err = run_cli(capsys, path, template, text, fmt)
+            code, out, err = run_cli(capsys, path, template, text, fmt, data)
             codes.add(code)
             assert code in (0, 1, 2), (template, text)
             if code == 1:
                 assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-            if code == 0 and fmt == "machine":
+            if data != text.encode("utf-8"):
+                assert code == 1 and " is not UTF-8 text: " in err, (template, data)
+                not_utf8 += 1
+            elif code == 0 and template[0] == "catalog":
+                # `catalog show` prints a lattice file in either format.
+                picard.parse_lattice(out)
+            elif code == 0 and fmt == "machine":
                 assert render_machine(parse_machine(out)) + "\n" == out
     assert codes >= {0, 1}
+    assert not_utf8 > 40
 
 
 def test_cli_hypothesis_on_mutated_ledgers(capsys, tmp_path):
