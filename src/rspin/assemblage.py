@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .curveconf import (
@@ -79,12 +78,11 @@ class AssemblageStep(_StepFields):
     merge: the arc joins `component` and `other`, replacing values (v1, v2)
     by the declared value v = v1 + v2 - 1.
 
-    A named tuple rather than a frozen dataclass: a step file or an explicit
-    construction yields one record per step, and building and unpacking a
-    tuple costs a fraction of a dataclass.  `assemblage run` folds each
-    record as its line is read and keeps none; `parse_assemblage` and
-    `smoothing_assemblage` hold them all.  `_replace` validates like the
-    constructor.
+    A step file or an explicit construction yields one record per step, so
+    unlike `errors.Record` it checks its fields in its own `__new__`, before
+    the tuple is built.  `assemblage run` folds each record as its line is
+    read and keeps none; `parse_assemblage` and `smoothing_assemblage` hold
+    them all.  `_replace` validates like the constructor.
     """
 
     __slots__ = ()
@@ -116,8 +114,7 @@ class AssemblageStep(_StepFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AssemblageState:
+class AssemblageState(NamedTuple):
     genus: int
     boundaries: tuple[tuple[str, int], ...]
     modulus: int = 0
@@ -230,16 +227,14 @@ def apply_step(state: AssemblageState, step: AssemblageStep) -> AssemblageState:
     return _fold(state, (step,))[0]
 
 
-@dataclass(frozen=True)
-class Assemblage:
+class Assemblage(NamedTuple):
     core: CurveSystem
     steps: tuple[AssemblageStep, ...]
     ambient: tuple[int, int]
     modulus: int = 0
 
 
-@dataclass(frozen=True)
-class CoreReport:
+class CoreReport(NamedTuple):
     genus: int
     boundary: int
     chi: int
@@ -264,8 +259,7 @@ def _e6_a7_report() -> CoreReport:
     return verify_core(e6_a7_core())
 
 
-@dataclass(frozen=True)
-class FramingCertificate:
+class FramingCertificate(NamedTuple):
     core_genus: int
     final_genus: int
     final_boundary: int
@@ -391,8 +385,7 @@ Pattern = Callable[[int, int, Sides, tuple[int, int]],
                    tuple[tuple[AssemblageStep, ...], Sides]]
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One handle pair of the two-section construction and its repeat count.
 
     ``pattern(k, serial, sides, values)`` builds repeat k from the names and
@@ -415,8 +408,7 @@ class Stage:
         return (values[0] + k * self.shift[0], values[1] + k * self.shift[1])
 
 
-@dataclass(frozen=True)
-class TwoSection:
+class TwoSection(NamedTuple):
     """The two-section construction: a stage table over the core."""
 
     core: CurveSystem
@@ -585,8 +577,7 @@ def certify_two_section(table: TwoSection) -> FramingCertificate:
 # -- monodromy report ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """End-to-end verdict with the full evidence chain.
 
     quantities carries every number the human and machine renderings show;

@@ -13,12 +13,12 @@ kernel elements must be declared explicitly through the stabilizer kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     InconsistentInputError,
     ParityError,
+    Record,
     UnsupportedTypeError,
     power,
 )
@@ -29,15 +29,18 @@ STABILIZER = "stabilizer"
 PUSH = "push"
 
 
-@dataclass(frozen=True)
-class BraidGenerator:
+class _GeneratorFields(NamedTuple):
     kind: str
     indices: tuple[int, ...] = ()
     tag: str = ""
     label: Optional[tuple[int, ...]] = None
     exponent: int = 1
 
-    def __post_init__(self):
+
+class BraidGenerator(Record, _GeneratorFields):
+    __slots__ = ()
+
+    def _check(self):
         if self.kind == MERIDIAN:
             if len(self.indices) != 2 or not (1 <= self.indices[0] < self.indices[1]):
                 raise InconsistentInputError(
@@ -80,14 +83,17 @@ def point_push(label: Sequence[int], exponent: int = 1) -> BraidGenerator:
     return BraidGenerator(PUSH, label=tuple(label), exponent=exponent)
 
 
-@dataclass(frozen=True)
-class PsiImage:
+class _PsiFields(NamedTuple):
+    vec: tuple[int, ...]
+
+
+class PsiImage(Record, _PsiFields):
     """Vector in Z^d with even coordinate sum (membership in the index-two
     subgroup spanned by the e_i + e_j)."""
 
-    vec: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if sum(self.vec) % 2 != 0:
             raise ParityError("psi images have even coordinate sum")
 
@@ -149,8 +155,7 @@ def homology_trace(word: Sequence[BraidGenerator], genus: int) -> tuple[int, ...
     return tuple(total)
 
 
-@dataclass(frozen=True)
-class CorrectionPlan:
+class CorrectionPlan(NamedTuple):
     """Word and twist exponent that kill a braid's psi image.
 
     Prepending the word to any braid with psi image k yields psi = 0, and

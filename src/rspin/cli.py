@@ -120,7 +120,7 @@ def _cmd_lattice(args) -> int:
         return 0
     if args.op == "lefschetz":
         gen = lattice.divisor(_coords(args.args[0])) if args.args else None
-        dec = picard.lefschetz_full_decision(lattice, gen)
+        dec = picard.lefschetz_full_decision(lattice, gen, ledger)
         q = {"exists": int(dec.exists), "rank": dec.rank,
              "classification": dec.classification,
              "exceptional": int(dec.exceptional)}

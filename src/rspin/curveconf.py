@@ -14,15 +14,15 @@ pairing used elsewhere and do not enter chi/b/g (orientable plumbing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     DisconnectedError,
     InconsistentInputError,
     NotSimpleError,
+    Record,
     RibbonError,
     UnsupportedTypeError,
     int_token,
@@ -30,13 +30,16 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Crossing:
+class _CrossingFields(NamedTuple):
     ident: str
     curves: tuple[str, str]
     sign: int = 1
 
-    def __post_init__(self):
+
+class Crossing(Record, _CrossingFields):
+    __slots__ = ()
+
+    def _check(self):
         if self.curves[0] == self.curves[1]:
             raise InconsistentInputError(
                 f"crossing {self.ident}: simple closed curves cannot self-intersect")
@@ -143,10 +146,17 @@ class CurveSystem:
         return f"CurveSystem({len(self.curves)} curves, {len(self.crossings)} crossings)"
 
 
-@dataclass(frozen=True)
-class IntersectionGraph:
+class _GraphFields(NamedTuple):
     vertices: tuple[str, ...]
     edges: frozenset
+
+
+class IntersectionGraph(_GraphFields):
+    """Curves and their single-intersection pairs.
+
+    Without `__slots__`, so each instance keeps a `__dict__` for its
+    adjacency, built once on first use.
+    """
 
     @cached_property
     def _adjacency(self) -> dict[str, list[str]]:
@@ -181,13 +191,16 @@ class IntersectionGraph:
         return len(self.edges) == len(self.vertices) - 1 and self.is_connected()
 
 
-@dataclass(frozen=True)
-class NeighborhoodInvariants:
+class _NeighborhoodFields(NamedTuple):
     euler: int
     boundary: int
     genus: int
 
-    def __post_init__(self):
+
+class NeighborhoodInvariants(Record, _NeighborhoodFields):
+    __slots__ = ()
+
+    def _check(self):
         if self.euler != 2 - 2 * self.genus - self.boundary:
             raise InconsistentInputError("chi = 2 - 2g - b violated")
 

@@ -6,10 +6,11 @@ Every input file is read through `read_text`, and every file parser reads
 its text through `read_lines` and its integers through `int_token`, so a
 file that is not UTF-8 or a bad token is an InconsistentInputError that
 names the file or quotes the token and its line, not Python's ValueError.
-Twist words and braid words split `name^e` with `power`.
+Twist words and braid words split `name^e` with `power`.  A record that
+validates its fields is a `Record` named tuple.
 """
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class DomainError(Exception):
@@ -80,6 +81,27 @@ class NonIsolatedError(DomainError):
 
 class InternalInconsistencyError(DomainError):
     """An invariant that must hold by construction failed; a bug if raised."""
+
+
+class Record:
+    """Base of a named-tuple record that validates: `class R(Record, _RFields)`.
+
+    The constructor and `_make`, hence `_replace`, run the record's `_check`,
+    so no record exists that fails it.  Every rspin value record is a named
+    tuple, which is cheap to define at import: no `inspect` to load and no
+    generated methods to exec per class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Record":
+        return cls(*iterable)
 
 
 def int_token(token: str, line: str) -> int:

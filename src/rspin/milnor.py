@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     SEARCH_LIMIT,
@@ -87,8 +86,7 @@ def jacobian(f: PlaneGerm) -> tuple[PlaneGerm, PlaneGerm]:
     return PlaneGerm(fx), PlaneGerm(fy)
 
 
-@dataclass(frozen=True)
-class MilnorResult:
+class MilnorResult(NamedTuple):
     mu: int
     basis: tuple[Monomial, ...]
     truncation: int

@@ -16,15 +16,15 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     SEARCH_LIMIT,
     InconsistentInputError,
     LatticeMismatchError,
     NotRepresentableError,
+    Record,
     UncertifiedError,
     int_token,
     read_lines,
@@ -51,17 +51,20 @@ def _signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     return pos, neg, n - pos - neg
 
 
-@dataclass(frozen=True)
-class PicardLattice:
-    """Free Z-module with intersection form and canonical vector."""
-
+class _LatticeFields(NamedTuple):
     rank: int
     gram: tuple[tuple[int, ...], ...]
     canonical: tuple[int, ...]
     name: str = ""
     simply_connected: bool = True
 
-    def __post_init__(self):
+
+class PicardLattice(Record, _LatticeFields):
+    """Free Z-module with intersection form and canonical vector."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.rank < 1:
             raise InconsistentInputError("rank must be positive")
         if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
@@ -91,12 +94,17 @@ class PicardLattice:
         return f"PicardLattice({self.name or 'rank %d' % self.rank})"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class _DivisorFields(NamedTuple):
     coords: tuple[int, ...]
     lattice: PicardLattice
 
-    def __post_init__(self):
+
+class DivisorClass(Record, _DivisorFields):
+    """Integer coordinates against a lattice's basis; `n * D` and `D * n` scale."""
+
+    __slots__ = ()
+
+    def _check(self):
         if len(self.coords) != self.lattice.rank:
             raise InconsistentInputError("coordinate length does not match lattice rank")
 
@@ -115,6 +123,8 @@ class DivisorClass:
 
     def __rmul__(self, n: int) -> "DivisorClass":
         return DivisorClass(tuple(n * a for a in self.coords), self.lattice)
+
+    __mul__ = __rmul__  # scaling, never the tuple's repetition
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -139,8 +149,7 @@ def intersect(a: DivisorClass, b: DivisorClass) -> int:
     return a.lattice.pairing(a.coords, b.coords)
 
 
-@dataclass(frozen=True)
-class AdjointReport:
+class AdjointReport(NamedTuple):
     adjoint: DivisorClass
     divisibility: int
     degenerate: bool
@@ -211,8 +220,7 @@ def jet_compose(ledger: JetLedger, a: DivisorClass, b: DivisorClass) -> int:
     return ledger.declare(a + b, la + lb)
 
 
-@dataclass(frozen=True)
-class JetSplitting:
+class JetSplitting(NamedTuple):
     """Witness that L = L1 + L2 with jet(L1) >= 6 and jet(L2) >= 1."""
 
     l1: DivisorClass
@@ -320,8 +328,7 @@ def jet_splitting_certificate(l: DivisorClass, ledger: JetLedger) -> Optional[Je
     return None
 
 
-@dataclass(frozen=True)
-class LefschetzDecision:
+class LefschetzDecision(NamedTuple):
     exists: bool
     rank: int
     classification: str
@@ -332,6 +339,7 @@ class LefschetzDecision:
 def lefschetz_full_decision(
     lattice: PicardLattice,
     ample_generator: Optional[DivisorClass] = None,
+    ledger: Optional[JetLedger] = None,
 ) -> LefschetzDecision:
     """Decide whether a full-monodromy pencil exists on the surface.
 
@@ -339,21 +347,28 @@ def lefschetz_full_decision(
     exceptions).  In rank 1 with canonical = n * generator, a full mapping
     class group is achievable iff |m+n| <= 1 for some effective m >= 1,
     which classifies the surface as K3 (n = 0), del Pezzo (n < 0, hence the
-    plane), or neither.
+    plane), or neither.  The generator is the primitive class on the ample
+    side: the side of the ledger's classes of level >= 1, which are very
+    ample, or of (1) when it has none.  Any other `ample_generator` is an
+    InconsistentInputError.
     """
     if not lattice.simply_connected:
         raise InconsistentInputError("decision requires a simply connected surface")
     if lattice.rank >= 2:
         return LefschetzDecision(True, lattice.rank, "rank >= 2")
-    gen = ample_generator if ample_generator is not None else lattice.divisor((1,))
+    sides = {(cls.coords[0] > 0) - (cls.coords[0] < 0)
+             for cls in (ledger.classes() if ledger else ()) if ledger.level(cls) >= 1}
+    if len(sides) > 1 or 0 in sides:
+        raise InconsistentInputError("the ledger's very ample classes are not all "
+                                     "positive or all negative multiples of one class")
+    g0 = sides.pop() if sides else 1
+    gen = ample_generator if ample_generator is not None else lattice.divisor((g0,))
     if gen.lattice is not lattice:
         raise LatticeMismatchError("generator lives on a different lattice")
-    g0 = gen.coords[0]
-    k0 = lattice.canonical[0]
-    if g0 == 0 or k0 % g0 != 0:
+    if gen.coords != (g0,):
         raise InconsistentInputError(
-            "rank-1 canonical class is not an integer multiple of the generator")
-    n = k0 // g0
+            f"({gen.coords[0]}) is not the ample generator ({g0}) of the rank-1 lattice")
+    n = lattice.canonical[0] * g0  # K = n * generator, since g0 = +-1
     if n > 0:
         return LefschetzDecision(False, 1, "general type")
     # m = 1-n >= 1 realizes |m+n| = 1 without degenerating the adjoint class.

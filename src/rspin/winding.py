@@ -22,11 +22,11 @@ with winding 0 -- the admissible case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     InconsistentInputError,
+    Record,
     RefinementOrderError,
     UnknownComponentError,
     int_token,
@@ -46,13 +46,16 @@ def residues_equal(a: int, b: int, r: int) -> bool:
     return (a - b) % r == 0 if r > 0 else a == b
 
 
-@dataclass(frozen=True)
-class WindingContext:
+class _ContextFields(NamedTuple):
     modulus: int
     genus: int
     boundary: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class WindingContext(Record, _ContextFields):
+    __slots__ = ()
+
+    def _check(self):
         if self.modulus < 0 or self.genus < 0:
             raise InconsistentInputError("modulus and genus must be nonnegative")
 
@@ -70,8 +73,7 @@ class WindingContext:
         return total
 
 
-@dataclass(frozen=True)
-class HomologyCurve:
+class HomologyCurve(NamedTuple):
     name: str
     hclass: tuple[int, ...]
     winding: int

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -441,9 +440,8 @@ def _with_stage_pattern(monkeypatch, index, wrap, **changes):
         table = two_section(g_c, g_d, d)
         stages = list(table.stages)
         stage = stages[index]
-        stages[index] = dataclasses.replace(
-            stage, pattern=wrap(stage.pattern), **changes)
-        return dataclasses.replace(table, stages=tuple(stages))
+        stages[index] = stage._replace(pattern=wrap(stage.pattern), **changes)
+        return table._replace(stages=tuple(stages))
 
     monkeypatch.setattr(asmmod, "two_section", altered)
 

@@ -254,6 +254,31 @@ def test_lattice_smoothed_genus_and_lefschetz(capsys):
     assert pairs["classification"] == "K3" and pairs["exceptional"] == "1"
 
 
+@pytest.mark.parametrize("cls", ["-1", "3"])
+def test_lefschetz_rejects_a_class_that_is_not_the_ample_generator(capsys, cls):
+    # -H is anti-ample and 3H is not primitive (6H would have r = 3): neither
+    # may stand for the generator of Pic(P2).
+    code, out, err = run(capsys, "lattice", "P2", "lefschetz", cls, "--format", "machine")
+    assert code == 1 and out == ""
+    assert err == f"error: ({cls}) is not the ample generator (1) of the rank-1 lattice\n"
+
+
+def test_lefschetz_takes_the_ample_side_from_the_ledger(capsys, tmp_path):
+    # P2 in the basis -H: its very ample class is (-1), so K = (3) = -3 * (-1).
+    path = tmp_path / "p2.lat"
+    path.write_text("name P2\nrank 1\ngram 1\ncanonical 3\njets\n-1 1\n", encoding="utf-8")
+    for args in ([], ["-1"]):
+        code, out, _ = run(capsys, "lattice", str(path), "lefschetz", *args,
+                           "--format", "machine")
+        assert code == 0 and out == ("exists=1\nrank=1\nclassification=del Pezzo\n"
+                                     "exceptional=1\nwitness_multiple=4\n")
+    code, out, _ = run(capsys, "report", "--surface", str(path), "--C", "-6", "--D", "-1",
+                       "--format", "machine")
+    assert code == 0 and parse_machine(out)["certificate"] == "generates"
+    code, _, err = run(capsys, "lattice", str(path), "lefschetz", "1")
+    assert code == 1 and "is not the ample generator (-1)" in err
+
+
 def test_config_dynkin_flag(capsys):
     code, out, _ = run(capsys, "config", "analyze", "--dynkin", "A7",
                        "--format", "machine")

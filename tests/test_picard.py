@@ -514,6 +514,23 @@ def test_lefschetz_inconsistent_rank_one():
         lefschetz_full_decision(lat, lat.divisor((2,)))
 
 
+def test_lefschetz_generator_is_the_primitive_class_on_the_ledger_side():
+    lat, ledger = catalog_lattice("P2")
+    for coords in ((-1,), (3,), (0,)):
+        with pytest.raises(InconsistentInputError, match="not the ample generator"):
+            lefschetz_full_decision(lat, lat.divisor(coords), ledger)
+    flipped = PicardLattice(1, ((1,),), (3,), name="P2")
+    ledger = JetLedger()
+    ledger.declare(flipped.divisor((-1,)), 1)
+    dec = lefschetz_full_decision(flipped, None, ledger)
+    assert dec.classification == "del Pezzo" and dec.witness_multiple == 4
+    # Without the ledger the side defaults to (1), as for the catalog plane.
+    assert lefschetz_full_decision(flipped).classification == "general type"
+    ledger.declare(flipped.divisor((2,)), 1)
+    with pytest.raises(InconsistentInputError, match="very ample classes"):
+        lefschetz_full_decision(flipped, None, ledger)
+
+
 def test_catalog_all_valid():
     for name in catalog_names():
         lat, ledger = catalog_lattice(name)
