@@ -78,11 +78,11 @@ class AssemblageStep(_StepFields):
     merge: the arc joins `component` and `other`, replacing values (v1, v2)
     by the declared value v = v1 + v2 - 1.
 
-    A step file or an explicit construction yields one record per step, so
-    unlike `errors.Record` it checks its fields in its own `__new__`, before
-    the tuple is built.  `assemblage run` folds each record as its line is
-    read and keeps none; `parse_assemblage` and `smoothing_assemblage` hold
-    them all.  `_replace` validates like the constructor.
+    Unlike `errors.Record` it checks its fields in its own `__new__`, before
+    the tuple is built, and `_replace` validates like the constructor.
+    `assemblage run` builds none: it folds the bare field tuple of each step
+    line as the line is read.  `parse_assemblage`, the stage patterns and
+    `smoothing_assemblage` build and hold them all.
     """
 
     __slots__ = ()
@@ -148,20 +148,21 @@ class AssemblageState(NamedTuple):
 
 def _fold(
     state: AssemblageState,
-    steps: Iterable[AssemblageStep],
+    steps: Iterable[tuple],
 ) -> tuple[AssemblageState, bool]:
     """Attach `steps` to `state` in order, O(1) per step, reading them once.
 
-    Returns the state reached and whether every attached curve carries
-    winding zero (mod r).
+    A step is an `AssemblageStep` or the bare tuple of its fields.  Returns
+    the state reached and whether every attached curve carries winding zero
+    (mod r).
 
-    The boundary is kept as an insertion-ordered name -> value map with a
-    running value sum, so a step's lookup, name-reuse check, sum rule and
-    coherence recheck touch only the components it names; the new
-    components go last, as in `AssemblageState.boundaries`.  The sum rules
-    keep (value sum - chi) fixed mod r, so coherence is rechecked on every
-    step exactly when the entry state is coherent (standalone use on
-    fabricated incoherent states is allowed).  Boundary names must be
+    The boundary is an insertion-ordered name -> value map with a running
+    value sum, so a step's lookup, name-reuse check, sum rule and coherence
+    recheck (residues mod r taken inline) touch only the components it
+    names; new components go last, as in `AssemblageState.boundaries`.  The
+    sum rules keep (value sum - chi) fixed mod r, so coherence is rechecked
+    on every step exactly when the entry state is coherent (standalone use
+    on fabricated incoherent states is allowed).  Boundary names must be
     distinct, as `_core_state` requires of initial values.
     """
     r = state.modulus
@@ -172,46 +173,47 @@ def _fold(
     coherent = state.is_coherent()
     windings_zero = True
     for curve, mode, component, other, names, declared, winding in steps:
-        if winding and not residues_equal(winding, 0, r):
+        if winding and (winding % r if r else winding):
             windings_zero = False
-        if component not in values:
+        old = values.pop(component, None)
+        if old is None:
             raise UnknownComponentError(f"no boundary component {component!r}")
         if mode == "split":
-            old = values[component]
-            raw1, raw2 = declared
-            v1, v2 = reduce_residue(raw1, r), reduce_residue(raw2, r)
-            if not residues_equal(v1 + v2, old - 1, r):
+            if r < 0:
+                raise InconsistentInputError("modulus must be nonnegative")
+            v1, v2 = (declared[0] % r, declared[1] % r) if r else declared
+            if (v1 + v2 + 1 - old) % r if r else v1 + v2 + 1 != old:
                 raise InconsistentStepError(
                     f"step {curve}: split values {declared} must sum to {old} - 1")
             n1, n2 = names
-            for n in names:
-                if n in values and n != component:
-                    raise InconsistentStepError(f"boundary name {n!r} already in use")
-            del values[component]
+            if n1 in values or n2 in values:
+                raise InconsistentStepError(
+                    f"boundary name {n1 if n1 in values else n2!r} already in use")
             values[n1], values[n2] = v1, v2
             total += v1 + v2 - old
         else:
-            if other not in values:
+            v2 = values.pop(other, None)
+            if v2 is None:
+                if other == component:
+                    raise InconsistentStepError(
+                        f"step {curve}: merge needs two distinct components")
                 raise UnknownComponentError(f"no boundary component {other!r}")
-            if other == component:
-                raise InconsistentStepError(
-                    f"step {curve}: merge needs two distinct components")
-            v1, v2 = values[component], values[other]
             (raw,) = declared
-            merged = reduce_residue(raw, r)
-            if not residues_equal(merged, v1 + v2 - 1, r):
+            if r < 0:
+                raise InconsistentInputError("modulus must be nonnegative")
+            merged = raw % r if r else raw
+            if (merged + 1 - old - v2) % r if r else merged + 1 != old + v2:
                 raise InconsistentStepError(
-                    f"step {curve}: merge value {raw} must equal {v1} + {v2} - 1")
+                    f"step {curve}: merge value {raw} must equal {old} + {v2} - 1")
             (name,) = names
-            if name in values and name != component and name != other:
+            if name in values:
                 raise InconsistentStepError(f"boundary name {name!r} already in use")
-            del values[component], values[other]
             values[name] = merged
-            total += merged - v1 - v2
+            total += merged - old - v2
             genus += 1
         if coherent:
             chi = 2 - 2 * genus - len(values)
-            if not residues_equal(total, chi, r):
+            if (total - chi) % r if r else total != chi:
                 raise InternalInconsistencyError(
                     f"coherence failed: sum {total} != chi {chi} (mod {r})")
     return AssemblageState(genus, tuple(values.items()), r), windings_zero
@@ -344,13 +346,13 @@ def certify_steps(
     ambient: tuple[int, int],
     modulus: int,
     initial_values: Sequence[tuple[str, int]],
-    steps: Iterable[AssemblageStep],
+    steps: Iterable[tuple],
 ) -> tuple[FramingCertificate, int]:
     """`certify` on the fields of an Assemblage, reading `steps` once in one pass.
 
     Returns the certificate and the number of steps folded.  `assemblage
-    run` passes the header and lazy steps of `read_assemblage` here, so no
-    step record outlives its line and the first error in the file is the
+    run` passes the header and lazy step tuples of `read_assemblage` here,
+    so no step outlives its line and the first error in the file is the
     one raised.
     """
     report, state = _core_state(core, initial_values, modulus)
@@ -717,13 +719,13 @@ def _fields(parts: list[str], line: str, form: str) -> list[str]:
 def read_assemblage(
     text: str,
 ) -> tuple[CurveSystem, tuple[int, int], int, list[tuple[str, int]],
-           Iterator[AssemblageStep]]:
+           Iterator[tuple]]:
     """The header of an assemblage description and a lazy iterator of its steps.
 
     Reads the header lines up to the first step line and returns the core,
     the ambient (genus, boundary), the modulus, the initial boundary values,
     and an iterator that validates each step line only when it reaches it.
-    A caller that folds the steps as they come holds one record at a time.
+    A caller that folds the steps as they come holds one step at a time.
     """
     lines = read_lines(text)
     modulus = 0
@@ -780,8 +782,12 @@ def read_assemblage(
     return core, ambient, modulus, values, _read_steps(itertools.chain(first, lines))
 
 
-def _read_steps(lines: Iterator[tuple[str, list[str]]]) -> Iterator[AssemblageStep]:
-    """The record of each step line, built and validated as its line is reached."""
+def _read_steps(lines: Iterator[tuple[str, list[str]]]) -> Iterator[tuple]:
+    """Each step line as the bare field tuple `_fold` unpacks, checked when reached.
+
+    The checks and messages are `AssemblageStep`'s, but no record is built:
+    the token shape implies all of them but a split's distinct new names.
+    """
     for line, parts in lines:
         if parts[0] != "step":
             if parts[0] in _HEADER_KEYWORDS:
@@ -798,14 +804,17 @@ def _read_steps(lines: Iterator[tuple[str, list[str]]]) -> Iterator[AssemblageSt
                 new_values = (int(v1), int(v2))
             except ValueError:
                 new_values = (int_token(v1, line), int_token(v2, line))
-            yield AssemblageStep(curve, mode, old, "", (n1, n2), new_values)
+            if n1 == n2:
+                raise InconsistentInputError(
+                    f"step {curve}: split needs two distinct new names")
+            yield curve, "split", old, "", (n1, n2), new_values, 0
         elif mode == "merge" and n == 7:
             _, curve, _, b1, b2, new, v = parts
             try:
                 new_value = int(v)
             except ValueError:
                 new_value = int_token(v, line)
-            yield AssemblageStep(curve, mode, b1, b2, (new,), (new_value,))
+            yield curve, "merge", b1, b2, (new,), (new_value,), 0
         elif n < 3:
             raise InconsistentInputError(f"malformed step line {line!r}")
         elif mode == "split":
@@ -821,6 +830,7 @@ def _read_steps(lines: Iterator[tuple[str, list[str]]]) -> Iterator[AssemblageSt
 
 
 def parse_assemblage(text: str) -> tuple[Assemblage, list[tuple[str, int]]]:
-    """`read_assemblage` with every step read into the Assemblage."""
+    """`read_assemblage` with every step read into an `AssemblageStep` record."""
     core, ambient, modulus, values, steps = read_assemblage(text)
-    return Assemblage(core, tuple(steps), ambient, modulus), values
+    return Assemblage(core, tuple(itertools.starmap(AssemblageStep, steps)),
+                      ambient, modulus), values

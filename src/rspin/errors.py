@@ -86,18 +86,16 @@ class InternalInconsistencyError(DomainError):
 class Record:
     """Base of a named-tuple record that validates: `class R(Record, _RFields)`.
 
-    The constructor and `_make`, hence `_replace`, run the record's `_check`,
-    so no record exists that fails it.  Every rspin value record is a named
-    tuple, which is cheap to define at import: no `inspect` to load and no
-    generated methods to exec per class.
+    The named tuple's generated `__new__` builds it and `__init__` runs its
+    `_check`, as do `_make` and `_replace`, so no record exists that fails
+    it.  Every rspin value record is a named tuple, which is cheap to define
+    at import: no `inspect` to load and no generated methods to exec.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __init__(self, *args, **kwargs):
         self._check()
-        return self
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "Record":

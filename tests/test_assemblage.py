@@ -793,7 +793,10 @@ def _100k_step_file():
 def test_parse_and_certify_100k_step_file_is_fast():
     # On a 2-vCPU Xeon VM parse + certify took about 0.7 s with a
     # frozen-dataclass step record and a parse that split every line twice;
-    # with a named-tuple record, about 0.45 s.
+    # with a named-tuple record, about 0.45 s.  Reading bare step tuples that
+    # parse_assemblage builds into records, with residues taken inline in the
+    # fold, took 11 % less (0.65 s against 0.72 s on a busier host, medians
+    # of 7 alternating runs).
     text, expected = _100k_step_file()
     start = time.perf_counter()
     parsed, values = parse_assemblage(text)
@@ -806,7 +809,8 @@ def test_parse_and_certify_100k_step_file_is_fast():
 
 def test_run_folds_a_100k_step_file_as_it_reads(tmp_path, capsys):
     # Folding each step as its line is read peaks at about 160 B a step (the
-    # text and its lines); holding every step record, at about 690 B.
+    # text and its lines), with or without a record built per step (162 B
+    # both ways); holding every step record, at about 690 B.
     text, expected = _100k_step_file()
     path = tmp_path / "steps.asm"
     path.write_text(text)
@@ -823,6 +827,185 @@ def test_run_folds_a_100k_step_file_as_it_reads(tmp_path, capsys):
     assert sorted(int(b.split(":")[1]) for b in q["boundary_values"].split(",")) == \
         sorted(expected)
     assert peak < 200 * 100_000, f"peak {peak / 100_000:.0f} B a step"
+
+
+# -- `assemblage run` (bare step tuples) against the record path ------------
+
+
+def _random_step_file(rng, kind, modulus, count):
+    """A coherent step file of `_random_steps` on an e6a7, chain or dynkin core.
+
+    Returns its header lines, its step lines as token lists, and the live
+    boundary names before each step.
+    """
+    n, dynkin_type = rng.randint(2, 9), rng.choice(("A5", "A8", "E6"))
+    spec, core = {"e6a7": ("e6a7", e6_a7_core()), "chain": (f"chain {n}", chain(n)),
+                  "dynkin": (f"dynkin {dynkin_type}", dynkin(dynkin_type))}[kind]
+    report = verify_core(core)
+    values = _random_values(rng, modulus, report.chi, report.boundary, True)
+    initial = [(f"b{k}", v) for k, v in enumerate(values)]
+    state = AssemblageState(
+        report.genus, tuple((n, reduce_residue(v, modulus)) for n, v in initial), modulus)
+    steps, live = [], []
+    for step in _random_steps(rng, state, count):
+        live.append([n for n, _ in state.boundaries])
+        steps.append(_step_line(step).split())
+        state = _rescan_step(state, step)
+    ambient = ((state.genus, state.b) if rng.random() < 0.5
+               else (rng.randint(0, state.genus + 2), rng.randint(1, 3)))
+    return ([f"modulus {modulus}", f"ambient {ambient[0]} {ambient[1]}", f"core {spec}"]
+            + [f"boundary {n} {v}" for n, v in initial]), steps, live
+
+
+def _step_text(header, steps):
+    return "\n".join(header + [" ".join(tokens) for tokens in steps]) + "\n"
+
+
+# Each mutation makes one step line of a coherent file wrong, and the part of
+# the message the first error in the file then carries.
+MUTATIONS = {
+    "sum-rule": "must",
+    "unknown": "no boundary component 'ghost'",
+    "reused": "already in use",
+    "equal-split-names": "split needs two distinct new names",
+    "self-merge": "merge needs two distinct components",
+    "non-integer": "expected an integer",
+    "malformed": "step needs: step <curve>",
+    "late-header": "comes after the first step",
+}
+
+
+def _mutate(rng, steps, live, kind):
+    """A copy of `steps` with mutation `kind` at a random step it applies to.
+
+    None if it applies to no step (no merge to self-merge, say).
+    """
+    steps = [list(tokens) for tokens in steps]
+
+    def fits(k):
+        tokens, names = steps[k], live[k]
+        if kind == "reused":
+            return len(names) > (2 if tokens[2] == "split" else 3)
+        return {"equal-split-names": "split", "self-merge": "merge"}.get(
+            kind, tokens[2]) == tokens[2]
+
+    sites = [k for k in range(len(steps)) if fits(k)]
+    if not sites:
+        return None
+    k = rng.choice(sites)
+    tokens = steps[k]
+    if kind == "sum-rule":
+        tokens[-1] = str(int(tokens[-1]) + 1)
+    elif kind == "unknown":
+        tokens[3] = "ghost"
+    elif kind == "reused":
+        consumed = tokens[3:4] if tokens[2] == "split" else tokens[3:5]
+        taken = rng.choice([n for n in live[k] if n not in consumed])
+        tokens[rng.choice((4, 6)) if tokens[2] == "split" else 5] = taken
+    elif kind == "equal-split-names":
+        tokens[6] = tokens[4]
+    elif kind == "self-merge":
+        tokens[4] = tokens[3]
+    elif kind == "non-integer":
+        tokens[-1] = rng.choice(["1.5", "x", "--3", "0x10"])
+    elif kind == "malformed":
+        del tokens[rng.randrange(3, len(tokens))]
+    else:
+        steps.insert(k + 1, rng.choice(["modulus 3", "ambient 9 2", "core e6a7",
+                                        "boundary zz 0"]).split())
+    return steps
+
+
+def _record_outcome(text):
+    """The record path's machine output, or the type and message of its error."""
+    try:
+        cert = certify(*parse_assemblage(text))
+    except DomainError as exc:
+        return None, (type(exc), str(exc))
+    return cli.render_machine(cli._certificate_quantities(cert)) + "\n", None
+
+
+def _cli_outcome(argv, capsys):
+    """cli.main's stdout, or the type and message of the error it reports."""
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+        return out, None
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(DomainError) as exc:
+        args.func(args)
+    assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+    return None, (type(exc.value), str(exc.value))
+
+
+@pytest.mark.parametrize("modulus", [0] + list(range(2, 13)))
+def test_run_agrees_with_the_record_path(modulus, tmp_path, capsys, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    rng = random.Random(700 + modulus)
+    path = tmp_path / "steps.asm"
+    argv = ["assemblage", "run", str(path), "--format", "machine"]
+    hits = dict.fromkeys(MUTATIONS, 0)
+    for core in ("e6a7", "chain", "dynkin") * 2:
+        header, steps, live = _random_step_file(rng, core, modulus, rng.randint(8, 40))
+        path.write_text(_step_text(header, steps))
+        want = _record_outcome(path.read_text())
+        assert want[1] is None and _cli_outcome(argv, capsys) == want
+        assert cli.main(argv[:-1] + ["human"]) == 0
+        assert f"after {len(steps)} steps: " in capsys.readouterr().out
+        for kind, fragment in MUTATIONS.items():
+            mutated = _mutate(rng, steps, live, kind)
+            if mutated is None:
+                continue
+            path.write_text(_step_text(header, mutated))
+            want = _record_outcome(path.read_text())
+            assert want[1] is not None and fragment in want[1][1], (kind, want)
+            assert _cli_outcome(argv, capsys) == want
+            hits[kind] += 1
+    assert min(hits.values()) >= 4, hits
+
+
+def test_run_builds_no_step_records(tmp_path, capsys, monkeypatch):
+    header, steps, _ = _random_step_file(random.Random(3), "e6a7", 7, 1000)
+    path = tmp_path / "steps.asm"
+    path.write_text(_step_text(header, steps))
+    want = _record_outcome(path.read_text())
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a step record was built")
+
+    monkeypatch.setattr(AssemblageStep, "__new__", refuse)
+    with pytest.raises(AssertionError, match="a step record was built"):
+        parse_assemblage(path.read_text())
+    assert cli.main(["assemblage", "run", str(path), "--format", "machine"]) == 0
+    assert (capsys.readouterr().out, None) == want
+
+
+def test_fold_refuses_a_negative_modulus_after_the_component_checks():
+    state = AssemblageState(1, (("a", 1), ("b", -3)), -3)
+    split = AssemblageStep("c", "split", "a", new_names=("p", "q"), new_values=(0, 0))
+    merge = AssemblageStep("c", "merge", "a", "b", ("p",), (-3,))
+    for step in (split, merge):
+        for fold in (lambda s: apply_step(state, s), lambda s: asmmod._fold(state, [tuple(s)])):
+            with pytest.raises(InconsistentInputError) as exc:
+                fold(step)
+            assert str(exc.value) == "modulus must be nonnegative"
+            with pytest.raises(UnknownComponentError):
+                fold(step._replace(component="ghost"))
+    with pytest.raises(InconsistentStepError, match="merge needs two distinct components"):
+        apply_step(state, merge._replace(other="a"))
+    assert asmmod._fold(state, ()) == (state, True)
+
+
+def test_fold_judges_curve_windings_mod_r():
+    split = AssemblageStep("c", "split", "a", new_names=("p", "q"), new_values=(0, 0))
+    for modulus, winding, zero in [(7, 0, True), (7, 7, True), (7, -14, True),
+                                   (7, 3, False), (0, 7, False), (0, 0, True)]:
+        state = AssemblageState(1, (("a", 1), ("b", -3)), modulus)
+        step = split._replace(curve_winding=winding)
+        assert asmmod._fold(state, [step])[1] is zero
+        assert asmmod._fold(state, [tuple(step)])[1] is zero
 
 
 # -- the constant inputs of a report, built and checked once per process ------
