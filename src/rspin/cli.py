@@ -167,9 +167,10 @@ def _cmd_config(args) -> int:
     simple = all(n <= 1 for n in sys_.pair_counts().values())
     q["simple"] = int(simple)
     if simple:
-        arboreal = curveconf.is_arboreal(sys_)
+        graph = curveconf.intersection_graph(sys_)
+        arboreal = graph.is_tree()
         q["arboreal"] = int(arboreal)
-        q["e_arboreal"] = int(curveconf.is_e_arboreal(sys_))
+        q["e_arboreal"] = int(arboreal and curveconf.has_induced_e6(graph))
         human.append(f"simple configuration; arboreal: {arboreal}, "
                      f"E-arboreal: {bool(q['e_arboreal'])}")
     else:
@@ -181,7 +182,7 @@ def _cmd_config(args) -> int:
         human.append(f"regular neighborhood: chi = {inv.euler}, "
                      f"b = {inv.boundary}, g = {inv.genus}")
         if sys_.ambient is not None:
-            span = curveconf.is_spanning(sys_)
+            span = (inv.genus, inv.boundary) == tuple(sys_.ambient)
             q["spanning"] = int(span)
             human.append(f"spanning for ambient {sys_.ambient}: {span}")
     except DomainError as exc:

@@ -122,14 +122,31 @@ def read_text(path: str) -> str:
             f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
+# The text `read_lines` splits at a time, so a caller that consumes lines as
+# they come never holds a list of every line of a long file.
+_CHUNK = 1 << 16
+
+
 def read_lines(text: str) -> Iterator[tuple[str, list[str]]]:
-    """(line, tokens) per non-blank line: `#` comment cut, both ends stripped."""
-    for line in text.splitlines():
-        if "#" in line:
-            line = line.partition("#")[0]
-        tokens = line.split()
-        if tokens:
-            yield line.strip(), tokens
+    """(line, tokens) per non-blank line: `#` comment cut, both ends stripped.
+
+    The lines are `text.splitlines()`'s, split a chunk of about `_CHUNK`
+    characters at a time.  A chunk ends just after a "\n" (its last one, or
+    the next one past it if it has none) or at the end of the text.  No line
+    break of any kind continues past a "\n", so every chunk ends a line.
+    """
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.rfind("\n", start, start + _CHUNK) + 1
+        if cut <= start:
+            cut = text.find("\n", start + _CHUNK) + 1 or end
+        for line in text[start:cut].splitlines():
+            if "#" in line:
+                line = line.partition("#")[0]
+            tokens = line.split()
+            if tokens:
+                yield line.strip(), tokens
+        start = cut
 
 
 def power(chunk: str) -> tuple[str, str]:

@@ -5,9 +5,11 @@ I_0(f_x, f_y), computed exactly by Fulton's algorithm; a total past the Bezout
 bound deg f_x * deg f_y certifies that the germ is not isolated.  The basis:
 assemble all monomial multiples of the two partials up to total degree n, row
 reduce them over the integers without fractions, and take the standard
-monomials (non-pivot columns) under graded lex order, raising n until there
-are mu of them.  No degree ceiling applies, only the shared size bound
-`SEARCH_LIMIT` on the matrix's columns.
+monomials (non-pivot columns) under graded lex order at the least n with mu
+of them.  When the partials' tangent cones are transversal (mu = ord f_x *
+ord f_y) that n is ord f_x + ord f_y - 2 and one elimination answers;
+otherwise n is raised in jumps that never pass it.  No degree ceiling
+applies, only the shared size bound `SEARCH_LIMIT` on the matrix's columns.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ class PlaneGerm:
 
     def degree(self) -> int:
         return max((i + j for i, j in self.terms), default=0)
+
+    def order(self) -> int:
+        """The least total degree of a term, the multiplicity at the origin."""
+        return min((i + j for i, j in self.terms), default=0)
 
     def swapped(self) -> "PlaneGerm":
         return PlaneGerm({(j, i): c for (i, j), c in self.terms.items()})
@@ -106,14 +112,20 @@ def _integer_terms(g: PlaneGerm) -> dict[Monomial, int]:
     return {m: int(c * scale) for m, c in g.terms.items()}
 
 
+def _too_many_columns() -> NotRepresentableError:
+    return NotRepresentableError(f"the monomial basis needs over {SEARCH_LIMIT} columns")
+
+
 def _quotient_monomials(f: PlaneGerm, n: int) -> list[Monomial]:
     """Standard monomials of the quotient truncated at degree n, in ascending
     graded lex order with x > y (1, x, y, x^2, xy, y^2, ...).
 
-    Works modulo m^{n+1}: every monomial multiple of the two partials (any
-    multiplier of degree <= n) is truncated to degree <= n and row reduced.
-    The quotient dimension is then exactly dim C[x,y]/(J + m^{n+1}), and the
-    standard set is a staircase: the rows span an ideal mod m^{n+1}.
+    Works modulo m^{n+1}: every monomial multiple of the two partials is
+    truncated to degree <= n and row reduced.  Only multipliers of degree
+    <= n - ord(g) for a partial g leave a term; the rest are zero mod m^{n+1}
+    and give no row.  The quotient dimension is then exactly
+    dim C[x,y]/(J + m^{n+1}), and the standard set is a staircase: the rows
+    span an ideal mod m^{n+1}.
 
     Elimination is fraction-free: each partial is scaled to integer
     coefficients, and a row is reduced against a pivot row by integer
@@ -122,7 +134,7 @@ def _quotient_monomials(f: PlaneGerm, n: int) -> list[Monomial]:
     that space) are the same.
     """
     if (n + 1) * (n + 2) // 2 > SEARCH_LIMIT:
-        raise NotRepresentableError(f"the monomial basis needs over {SEARCH_LIMIT} columns")
+        raise _too_many_columns()
     # Descending graded lex with x > y, so the leading monomial comes first.
     columns = [(i, d - i) for d in range(n, -1, -1) for i in range(d + 1)]
     col_index = {m: k for k, m in enumerate(columns)}
@@ -132,12 +144,12 @@ def _quotient_monomials(f: PlaneGerm, n: int) -> list[Monomial]:
         if g.is_zero():
             continue
         terms = _integer_terms(g).items()
-        for a in range(n + 1):
-            for b in range(n + 1 - a):
-                row = {col_index[(i + a, j + b)]: c
-                       for (i, j), c in terms if i + a + j + b <= n}
-                if row:
-                    rows.append(row)
+        # A multiplier of degree past n - ord(g) truncates every term away.
+        room = n - g.order()
+        for a in range(room + 1):
+            for b in range(room + 1 - a):
+                rows.append({col_index[(i + a, j + b)]: c
+                             for (i, j), c in terms if i + a + j + b <= n})
 
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -209,28 +221,40 @@ def milnor_number(f: PlaneGerm) -> MilnorResult:
     The truncated quotient's dimension rises strictly with n until it is mu
     (equal values at n and n + 1 put m^(n+1) in the Jacobian ideal, by
     Nakayama, and the standard sets agree from then on); truncation n + 1 is
-    the first degree that repeats the basis.
+    the first degree that repeats the basis.  The rise from n - 1 to n is
+    H(n), the Hilbert function of the graded ring of C[[x,y]]/J.
 
-    That least n is found without passing it.  The rise from n - 1 to n is
-    H(n), the Hilbert function of the graded ring of C[[x,y]]/J, which in two
-    variables never grows past the least degree of J (Macaulay), so from the
-    start degree on.  Each later rise is at most the mean rise over the last
-    jump, and the jump after a count below mu is the fewest degrees that can
-    make up the deficit at that rise.  Every probe is one the degree-by-degree
-    scan would make, and a jump past the largest truncation whose matrix fits
-    `SEARCH_LIMIT` columns proves the basis does not fit.
+    When the partials' tangent cones share no line, that least n is known:
+    mu = d1 d2 with d1 = ord f_x, d2 = ord f_y exactly then (Fulton,
+    Algebraic Curves 3.3, property (5)).  The initial forms of the partials
+    are coprime, their complete intersection has colength d1 d2 = mu, so it
+    is the whole graded ring, and H is last nonzero in degree d1 + d2 - 2.
+    One elimination there (or at the start degree, if later) is the basis.
+
+    Otherwise the least n is found without passing it.  In two variables H
+    never grows past the least degree of J (Macaulay), so from the start
+    degree on.  Each later rise is at most the mean rise over the last jump,
+    and the jump after a count below mu is the fewest degrees that can make
+    up the deficit at that rise.  Every probe is one the degree-by-degree
+    scan would make.  A probe past the largest truncation whose matrix fits
+    `SEARCH_LIMIT` columns proves the basis does not fit, and raises before
+    that matrix is built.
     """
     fx, fy = jacobian(f)
     mu = _intersection(_integer_terms(fx), _integer_terms(fy), fx.degree() * fy.degree())
     # Below isqrt(2 mu) - 1 the truncated matrix has fewer than mu columns.
     n = max(1, fx.degree(), fy.degree(), math.isqrt(2 * mu) - 1)
+    d1, d2 = fx.order(), fy.order()
+    if d1 and d2 and mu == d1 * d2:
+        n = max(n, d1 + d2 - 2)
     top = (math.isqrt(8 * SEARCH_LIMIT + 1) - 3) // 2  # (n+1)(n+2)/2 <= SEARCH_LIMIT
+    if n > top:
+        raise _too_many_columns()
     standard, rise = _quotient_monomials(f, n), n + 1  # H(n + 1) <= H(n) <= n + 1
     while len(standard) < mu:
         jump = -(-(mu - len(standard)) // rise)
         if n + jump > top:
-            raise NotRepresentableError(
-                f"the monomial basis needs over {SEARCH_LIMIT} columns")
+            raise _too_many_columns()
         longer = _quotient_monomials(f, n + jump)
         # A zero mean rise below mu cannot happen; 1 keeps the scan finite anyway.
         rise = max(1, (len(longer) - len(standard)) // jump)

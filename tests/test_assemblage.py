@@ -808,9 +808,10 @@ def test_parse_and_certify_100k_step_file_is_fast():
 
 
 def test_run_folds_a_100k_step_file_as_it_reads(tmp_path, capsys):
-    # Folding each step as its line is read peaks at about 160 B a step (the
-    # text and its lines), with or without a record built per step (162 B
-    # both ways); holding every step record, at about 690 B.
+    # Folding each step as its line is read peaks at about 106 B a step: the
+    # text, and the lines of one 64 KiB chunk at a time.  Splitting the whole
+    # text into a list of lines first peaked at 162 B; holding every step
+    # record, at about 690 B.
     text, expected = _100k_step_file()
     path = tmp_path / "steps.asm"
     path.write_text(text)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from rspin import cli, milnor, picard
+from rspin import cli, curveconf, milnor, picard
 from rspin.assemblage import certify, parse_assemblage
 from rspin.cli import main, parse_machine, render_machine
 
@@ -85,6 +85,26 @@ def test_config_file(capsys, tmp_path):
     code, out, _ = run(capsys, "config", "analyze", str(path), "--format", "machine")
     pairs = parse_machine(out)
     assert pairs["chi"] == "-1" and pairs["spanning"] == "1"
+
+
+def test_config_traces_the_boundary_once(capsys, tmp_path, monkeypatch):
+    # The graph predicates share one intersection graph, and `spanning`
+    # compares the invariants already computed: one face trace per analysis.
+    calls = {"intersection_graph": 0, "_trace_faces": 0}
+    for name in calls:
+        fn = getattr(curveconf, name)
+        monkeypatch.setattr(curveconf, name, lambda *a, fn=fn, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or fn(*a))
+    path = tmp_path / "conf.txt"
+    path.write_text("curves a b c d\nambient 1 2\nintersections\nx a b\ny b c\nz b d\n")
+    for argv in ((str(path),), ("--core",)):
+        for name in calls:
+            calls[name] = 0
+        code, out, _ = run(capsys, "config", "analyze", *argv, "--format", "machine")
+        pairs = parse_machine(out)
+        assert code == 0 and pairs["arboreal"] == "1" and "spanning" in pairs, argv
+        # The second graph is neighborhood_invariants' own tree check.
+        assert calls == {"intersection_graph": 2, "_trace_faces": 1}, argv
 
 
 def test_winding_cli(capsys, tmp_path):

@@ -350,17 +350,52 @@ def test_basis_search_never_passes_the_least_truncation(monkeypatch):
         # Increasing probes, the last at the least truncation: a subset of the scan's.
         assert probes == sorted(set(probes)) and probes[-1] == result.truncation - 1, text
         if text in deep:
-            assert result == _linear_search_oracle(f), text
             assert len(probes) <= 8, (text, probes)
+            if not _transversal(f, result.mu):  # those are checked below
+                assert result == _linear_search_oracle(f), text
     # 5050 columns hold truncation 99, where x^51 + y^52 stabilizes; with
-    # 5049 the search proves it needs more without building that matrix.
+    # 5049 the closed form proves it needs more without building any matrix.
     monkeypatch.setattr(milnormod, "SEARCH_LIMIT", 5050)
     assert milnor_number(PlaneGerm.parse("x^51+y^52")).truncation == 100
     monkeypatch.setattr(milnormod, "SEARCH_LIMIT", 5049)
     probes.clear()
     with pytest.raises(NotRepresentableError, match="over 5049 columns"):
         milnor_number(PlaneGerm.parse("x^51+y^52"))
-    assert probes and max(probes) <= 98
+    assert probes == []
+    # x^31 + x y^29 (tangent cones share the line x = 0) stabilizes at 57; 1710
+    # columns hold truncation 56, and the jumps prove it without passing 56.
+    monkeypatch.setattr(milnormod, "SEARCH_LIMIT", 1710)
+    probes.clear()
+    with pytest.raises(NotRepresentableError, match="over 1710 columns"):
+        milnor_number(PlaneGerm.parse("x^31+x*y^29"))
+    assert probes and max(probes) <= 56
+
+
+def _transversal(f, mu):
+    """mu = ord f_x * ord f_y > 0: the partials share no tangent line."""
+    fx, fy = jacobian(f)
+    return mu > 0 and mu == fx.order() * fy.order()
+
+
+def test_transversal_germs_take_one_elimination(monkeypatch):
+    germs = [PlaneGerm.parse(text) for text in
+             (*_germ_families(), *_toolkit_germs(), "x^40+y^41", "x^25+y^60")]
+    germs += _random_germs(200, seed=5)
+    probes = []
+    monkeypatch.setattr(milnormod, "_quotient_monomials",
+                        lambda f, n: probes.append(n) or _quotient_monomials(f, n))
+    transversal = 0
+    for f in germs:
+        probes.clear()
+        try:
+            result = milnor_number(f)
+        except NonIsolatedError:
+            continue
+        if _transversal(f, result.mu):
+            transversal += 1
+            assert probes == [result.truncation - 1], (str(f), probes)
+            assert result == _linear_search_oracle(f), str(f)
+    assert transversal > 300
 
 
 def test_germ_validation():
