@@ -23,7 +23,6 @@ convention note).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -162,8 +161,9 @@ def _fold(
     names; new components go last, as in `AssemblageState.boundaries`.  The
     sum rules keep (value sum - chi) fixed mod r, so coherence is rechecked
     on every step exactly when the entry state is coherent (standalone use
-    on fabricated incoherent states is allowed).  Boundary names must be
-    distinct, as `_core_state` requires of initial values.
+    on fabricated incoherent states is allowed); that entry check refuses a
+    negative modulus.  Boundary names must be distinct, as `_core_state`
+    requires of initial values.
     """
     r = state.modulus
     values = dict(state.boundaries)
@@ -179,8 +179,6 @@ def _fold(
         if old is None:
             raise UnknownComponentError(f"no boundary component {component!r}")
         if mode == "split":
-            if r < 0:
-                raise InconsistentInputError("modulus must be nonnegative")
             v1, v2 = (declared[0] % r, declared[1] % r) if r else declared
             if (v1 + v2 + 1 - old) % r if r else v1 + v2 + 1 != old:
                 raise InconsistentStepError(
@@ -199,8 +197,6 @@ def _fold(
                         f"step {curve}: merge needs two distinct components")
                 raise UnknownComponentError(f"no boundary component {other!r}")
             (raw,) = declared
-            if r < 0:
-                raise InconsistentInputError("modulus must be nonnegative")
             merged = raw % r if r else raw
             if (merged + 1 - old - v2) % r if r else merged + 1 != old + v2:
                 raise InconsistentStepError(
@@ -249,16 +245,11 @@ def verify_core(core: CurveSystem) -> CoreReport:
     A core spans its own regular neighborhood by construction, so the
     spanning requirement is the neighborhood computation itself; failures
     (non-simple pairs, disconnected unions) surface as structured errors.
+    The core keeps its graph and invariants; a re-check runs only the E6 test.
     """
     intersection_graph(core)  # not-simple error if any pair meets twice
     inv = neighborhood_invariants(core)
     return CoreReport(inv.genus, inv.boundary, inv.euler, is_e_arboreal(core))
-
-
-@functools.cache
-def _e6_a7_report() -> CoreReport:
-    """verify_core of the shared, read-only E6+A7 core, once per process."""
-    return verify_core(e6_a7_core())
 
 
 class FramingCertificate(NamedTuple):
@@ -285,7 +276,7 @@ def _core_state(
     modulus: int,
 ) -> tuple[CoreReport, AssemblageState]:
     """Verify the core and seat the initial boundary values on it."""
-    report = _e6_a7_report() if core is e6_a7_core() else verify_core(core)
+    report = verify_core(core)
     if len(initial_values) != report.boundary:
         raise InconsistentInputError(
             f"core neighborhood has {report.boundary} boundary components; "

@@ -4,7 +4,8 @@ A CurveSystem records named curves, signed intersection points, and ribbon
 data: for each curve, the cyclic order of its intersections.  The regular
 neighborhood of the union is the thickening of the 4-valent graph whose
 vertices are the intersection points; its boundary circles are traced
-combinatorially, which pins down (chi, b, g).
+combinatorially, which pins down (chi, b, g).  A system derives its
+intersection graph and these invariants once, on first use, and keeps them.
 
 Ribbon data may be omitted for arboreal (tree-patterned) configurations,
 where the canonical plumbing is well-defined; anything else must supply the
@@ -93,6 +94,34 @@ class CurveSystem:
                         f"ribbon data for {c} must list each incident crossing once")
         self.ribbon = MappingProxyType({c: tuple(ribbon.get(c, ())) for c in self.curves})
 
+    # -- derived structure, computed on first use and kept --------------------
+
+    @cached_property
+    def _graph(self) -> "IntersectionGraph":
+        return IntersectionGraph(
+            self.curves, frozenset(frozenset(x.curves) for x in self.crossings))
+
+    @cached_property
+    def _invariants(self) -> "NeighborhoodInvariants":
+        components = self._graph.component_count
+        if components == 0:
+            raise InconsistentInputError("empty curve system")
+        if components > 1:
+            raise DisconnectedError(f"system has {components} components")
+        if not self.crossings:
+            return NeighborhoodInvariants(0, 2, 0)
+        if not self.ribbon_given and not intersection_graph(self).is_tree():
+            raise RibbonError(
+                "neighborhood of a non-tree configuration needs explicit ribbon data")
+        chi = -len(self.crossings)
+        b = _trace_faces(self)
+        if (2 - chi - b) % 2 != 0:
+            raise InconsistentInputError("boundary walk produced non-integral genus")
+        g = (2 - chi - b) // 2
+        if g < 0:
+            raise InconsistentInputError("boundary walk produced negative genus")
+        return NeighborhoodInvariants(chi, b, g)
+
     # -- basic queries ------------------------------------------------------
 
     def crossing(self, ident: str) -> Crossing:
@@ -107,30 +136,6 @@ class CurveSystem:
             key = frozenset(x.curves)
             counts[key] = counts.get(key, 0) + 1
         return counts
-
-    def components(self) -> list["CurveSystem"]:
-        parent = {c: c for c in self.curves}
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        for x in self.crossings:
-            a, b = find(x.curves[0]), find(x.curves[1])
-            if a != b:
-                parent[a] = b
-        groups: dict[str, list[str]] = {}
-        for c in self.curves:
-            groups.setdefault(find(c), []).append(c)
-        out = []
-        for members in groups.values():
-            mem = set(members)
-            xs = [x for x in self.crossings if x.curves[0] in mem]
-            rib = {c: self.ribbon[c] for c in members} if self.ribbon_given else None
-            out.append(CurveSystem(members, xs, ribbon=rib))
-        return out
 
     def relabeled(self, mapping: Mapping[str, str]) -> "CurveSystem":
         ren = lambda c: mapping.get(c, c)
@@ -152,10 +157,10 @@ class _GraphFields(NamedTuple):
 
 
 class IntersectionGraph(_GraphFields):
-    """Curves and their single-intersection pairs.
+    """Curves and the pairs that meet; one per `CurveSystem`, kept on it.
 
     Without `__slots__`, so each instance keeps a `__dict__` for its
-    adjacency, built once on first use.
+    adjacency and its component count (one DFS), built once on first use.
     """
 
     @cached_property
@@ -174,18 +179,24 @@ class IntersectionGraph(_GraphFields):
     def neighbors(self, v: str) -> list[str]:
         return list(self._adjacency[v])
 
+    @cached_property
+    def component_count(self) -> int:
+        adj, seen, count = self._adjacency, set(), 0
+        for v in self.vertices:
+            if v in seen:
+                continue
+            count += 1
+            seen.add(v)
+            stack = [v]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return count
+
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = self._adjacency
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return self.component_count <= 1
 
     def is_tree(self) -> bool:
         return len(self.edges) == len(self.vertices) - 1 and self.is_connected()
@@ -206,13 +217,17 @@ class NeighborhoodInvariants(Record, _NeighborhoodFields):
 
 
 def intersection_graph(sys: CurveSystem) -> IntersectionGraph:
-    """Vertices are curves; an edge means exactly one geometric intersection."""
-    for pair, n in sys.pair_counts().items():
-        if n > 1:
-            a, b = sorted(pair)
-            raise NotSimpleError(f"curves {a}, {b} meet in {n} points")
-    edges = frozenset(frozenset(x.curves) for x in sys.crossings)
-    return IntersectionGraph(sys.curves, edges)
+    """Vertices are curves; an edge means exactly one geometric intersection.
+
+    The graph is built once and kept on `sys`.  Fewer edges than crossings
+    means some pair meets twice; only then are the pairs counted, to name it.
+    """
+    graph = sys._graph
+    if len(graph.edges) < len(sys.crossings):
+        pair, n = next((p, n) for p, n in sys.pair_counts().items() if n > 1)
+        a, b = sorted(pair)
+        raise NotSimpleError(f"curves {a}, {b} meet in {n} points")
+    return graph
 
 
 def is_arboreal(sys: CurveSystem) -> bool:
@@ -285,38 +300,15 @@ def _trace_faces(sys: CurveSystem) -> int:
     return faces
 
 
-def neighborhood_invariants(
-    sys: CurveSystem,
-    per_component: bool = False,
-):
-    """(chi, b, g) of a regular neighborhood of the union.
+def neighborhood_invariants(sys: CurveSystem) -> NeighborhoodInvariants:
+    """(chi, b, g) of a regular neighborhood of the union, kept on `sys`.
 
     chi is minus the number of intersection points; b comes from the
     boundary walk on the 4-valent ribbon graph; g from chi = 2 - 2g - b.
-    An isolated curve is an annulus.  Disconnected systems either error or,
-    with per_component=True, return one result per component.
+    An isolated curve is an annulus; a disconnected system is an error.  A
+    system that raises keeps nothing and raises again on every call.
     """
-    comps = sys.components()
-    if len(comps) == 0:
-        raise InconsistentInputError("empty curve system")
-    if len(comps) > 1:
-        if per_component:
-            return tuple(neighborhood_invariants(c) for c in comps)
-        raise DisconnectedError(
-            f"system has {len(comps)} components; pass per_component=True")
-    if not sys.crossings:
-        return NeighborhoodInvariants(0, 2, 0)
-    if not sys.ribbon_given and not is_arboreal(sys):
-        raise RibbonError(
-            "neighborhood of a non-tree configuration needs explicit ribbon data")
-    chi = -len(sys.crossings)
-    b = _trace_faces(sys)
-    if (2 - chi - b) % 2 != 0:
-        raise InconsistentInputError("boundary walk produced non-integral genus")
-    g = (2 - chi - b) // 2
-    if g < 0:
-        raise InconsistentInputError("boundary walk produced negative genus")
-    return NeighborhoodInvariants(chi, b, g)
+    return sys._invariants
 
 
 def is_spanning(sys: CurveSystem, ambient: Optional[tuple[int, int]] = None) -> bool:

@@ -43,6 +43,8 @@ def reduce_residue(value: int, r: int) -> int:
 
 
 def residues_equal(a: int, b: int, r: int) -> bool:
+    if r < 0:
+        raise InconsistentInputError("modulus must be nonnegative")
     return (a - b) % r == 0 if r > 0 else a == b
 
 
@@ -114,7 +116,7 @@ def reduce_mod(phi: WindingFunction, r_new: int) -> WindingFunction:
     r = phi.context.modulus
     if r_new < 0:
         raise RefinementOrderError("target modulus must be nonnegative")
-    if r == 0 or (r_new > 0 and r % r_new == 0) or (r_new == 0 and r == 0):
+    if r == 0 or (r_new > 0 and r % r_new == 0):
         ctx = WindingContext(r_new, phi.context.genus, phi.context.boundary)
         return WindingFunction(ctx, phi.values, phi.arc_values_doubled)
     raise RefinementOrderError(f"{r_new} does not divide modulus {r}")

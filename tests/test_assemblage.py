@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import rspin.assemblage as asmmod
-from rspin import cli, picard
+from rspin import cli, curveconf, picard
 from rspin.assemblage import (
     CORE_VALUES,
     Assemblage,
@@ -983,20 +983,20 @@ def test_run_builds_no_step_records(tmp_path, capsys, monkeypatch):
     assert (capsys.readouterr().out, None) == want
 
 
-def test_fold_refuses_a_negative_modulus_after_the_component_checks():
+def test_fold_refuses_a_negative_modulus_at_entry():
+    # The entry coherence check refuses r < 0 before any step is read, so a
+    # ghost component, a bad merge or no step at all are never reached.
     state = AssemblageState(1, (("a", 1), ("b", -3)), -3)
     split = AssemblageStep("c", "split", "a", new_names=("p", "q"), new_values=(0, 0))
     merge = AssemblageStep("c", "merge", "a", "b", ("p",), (-3,))
-    for step in (split, merge):
+    for step in (split, merge, split._replace(component="ghost"), merge._replace(other="a")):
         for fold in (lambda s: apply_step(state, s), lambda s: asmmod._fold(state, [tuple(s)])):
-            with pytest.raises(InconsistentInputError) as exc:
+            with pytest.raises(InconsistentInputError, match="^modulus must be nonnegative$"):
                 fold(step)
-            assert str(exc.value) == "modulus must be nonnegative"
-            with pytest.raises(UnknownComponentError):
-                fold(step._replace(component="ghost"))
-    with pytest.raises(InconsistentStepError, match="merge needs two distinct components"):
-        apply_step(state, merge._replace(other="a"))
-    assert asmmod._fold(state, ()) == (state, True)
+    with pytest.raises(InconsistentInputError, match="^modulus must be nonnegative$"):
+        asmmod._fold(state, ())
+    with pytest.raises(InconsistentInputError, match="^modulus must be nonnegative$"):
+        residues_equal(5, 2, -3)
 
 
 def test_fold_judges_curve_windings_mod_r():
@@ -1015,7 +1015,6 @@ def test_fold_judges_curve_windings_mod_r():
 def _clear_caches():
     picard._catalog_entry.cache_clear()
     e6_a7_core.cache_clear()
-    asmmod._e6_a7_report.cache_clear()
 
 
 def _report_grid_argvs():
@@ -1055,22 +1054,22 @@ def test_report_grid_is_the_same_with_the_caches_cold_and_warm(capsys, monkeypat
     assert (info.misses, info.hits) == (14, len(argvs) - 14)
 
 
-def test_core_is_verified_once_and_file_cores_every_time(monkeypatch):
-    checked = []
-    check = asmmod.verify_core
-    monkeypatch.setattr(asmmod, "verify_core",
-                        lambda core: checked.append(core) or check(core))
+def test_shared_core_is_traced_once_and_file_cores_every_time(monkeypatch):
+    traced = []
+    trace = curveconf._trace_faces
+    monkeypatch.setattr(curveconf, "_trace_faces",
+                        lambda core: traced.append(core) or trace(core))
     _clear_caches()
     lat, ledger = catalog_lattice("P2")
     for _ in range(3):
         assert monodromy_report(lat.divisor((7,)), lat.divisor((3,)), ledger).certificate
         assert certify(*parse_assemblage(_HEADER)).type_e
-    assert checked == [e6_a7_core()]
+    assert traced == [e6_a7_core()]
     inline = ("ambient 6 2\ncore inline\ncurves a b\nintersections\nx a b\nend\n"
               "boundary d -1\n")
     for _ in range(2):
         certify(*parse_assemblage(inline))
-    assert len(checked) == 3 and checked[1] is not checked[2]
+    assert len(traced) == 3 and traced[1] is not traced[2]
 
 
 @pytest.mark.parametrize("core,error", [

@@ -88,23 +88,34 @@ def test_config_file(capsys, tmp_path):
 
 
 def test_config_traces_the_boundary_once(capsys, tmp_path, monkeypatch):
-    # The graph predicates share one intersection graph, and `spanning`
-    # compares the invariants already computed: one face trace per analysis.
-    calls = {"intersection_graph": 0, "_trace_faces": 0}
+    # A system builds its one intersection graph and traces its boundary once;
+    # the graph predicates, the neighborhood and `spanning` all read them.
+    calls = {"IntersectionGraph": 0, "_trace_faces": 0}
     for name in calls:
         fn = getattr(curveconf, name)
         monkeypatch.setattr(curveconf, name, lambda *a, fn=fn, name=name:
                             calls.__setitem__(name, calls[name] + 1) or fn(*a))
     path = tmp_path / "conf.txt"
     path.write_text("curves a b c d\nambient 1 2\nintersections\nx a b\ny b c\nz b d\n")
+    curveconf.e6_a7_core.cache_clear()
     for argv in ((str(path),), ("--core",)):
         for name in calls:
             calls[name] = 0
         code, out, _ = run(capsys, "config", "analyze", *argv, "--format", "machine")
         pairs = parse_machine(out)
         assert code == 0 and pairs["arboreal"] == "1" and "spanning" in pairs, argv
-        # The second graph is neighborhood_invariants' own tree check.
-        assert calls == {"intersection_graph": 2, "_trace_faces": 1}, argv
+        assert calls == {"IntersectionGraph": 1, "_trace_faces": 1}, argv
+    steps = tmp_path / "steps.asm"
+    for core, v1, v2 in [("chain 7", -9, 3), ("dynkin A5", -9, 5),
+                         ("inline\n  curves a b c\n  intersections\n  x a b\n  y b c\nend",
+                          -1, -1)]:
+        steps.write_text(f"ambient 9 2\ncore {core}\nboundary dC {v1}\nboundary dD {v2}\n"
+                         f"step t5 merge dC dD j1 {v1 + v2 - 1}\n")
+        for name in calls:
+            calls[name] = 0
+        code, out, _ = run(capsys, "assemblage", "run", str(steps), "--format", "machine")
+        assert code == 0 and parse_machine(out)["final_boundary"] == "1", core
+        assert calls == {"IntersectionGraph": 1, "_trace_faces": 1}, core
 
 
 def test_winding_cli(capsys, tmp_path):

@@ -284,10 +284,73 @@ def test_two_point_pair_storable_with_ribbon():
 
 def test_disconnected_handling():
     sys_ = CurveSystem(["a", "b", "c"], [Crossing("x", ("a", "b"))])
-    with pytest.raises(DisconnectedError):
-        neighborhood_invariants(sys_)
-    per = neighborhood_invariants(sys_, per_component=True)
-    assert sorted((inv.euler, inv.boundary) for inv in per) == [(-1, 1), (0, 2)]
+    for _ in range(2):  # an error is not cached: each call raises again
+        with pytest.raises(DisconnectedError, match="^system has 2 components$"):
+            neighborhood_invariants(sys_)
+
+
+def _random_forest(rng, sizes):
+    """Random trees of the given sizes on one curve set, with random signs and
+    random explicit ribbon orders; returns the system and its edges."""
+    n = sum(sizes)
+    labels = rng.sample(range(n), n)
+    edges, start = [], 0
+    for size in sizes:
+        for v in range(start + 1, start + size):
+            edges.append((labels[rng.randrange(start, v)], labels[v]))
+        start += size
+    rng.shuffle(edges)
+    xs = [Crossing(f"x{k}", (f"v{a}", f"v{b}") if rng.random() < 0.5 else (f"v{b}", f"v{a}"),
+                   rng.choice((-1, 1)))
+          for k, (a, b) in enumerate(edges)]
+    ribbon = {f"v{v}": [] for v in range(n)}
+    for x in xs:
+        for c in x.curves:
+            ribbon[c].append(x.ident)
+    for seq in ribbon.values():
+        rng.shuffle(seq)
+    return CurveSystem([f"v{v}" for v in range(n)], xs, ribbon=ribbon), edges
+
+
+def _tree_closed_form(n, edges):
+    """(chi, b, g) = (-(n - 1), n + 1 - 2 nu, nu), nu the maximum matching of
+    the tree: the intersection form on H_1 has rank 2 nu whatever the ribbon
+    order and signs.  Greedy leaf matching finds nu."""
+    adj = {v: [] for v in range(n)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    order, parent = [0], {0: None}
+    for u in order:
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    matched, nu = set(), 0
+    for u in reversed(order):
+        p = parent[u]
+        if p is not None and u not in matched and p not in matched:
+            matched |= {u, p}
+            nu += 1
+    return -(n - 1), n + 1 - 2 * nu, nu
+
+
+def test_neighborhood_of_random_trees_matches_the_closed_form():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        n = rng.randint(1, 25)
+        sys_, edges = _random_forest(rng, [n])
+        assert tuple(neighborhood_invariants(sys_)) == _tree_closed_form(n, edges), edges
+
+
+def test_random_forests_name_their_tree_count():
+    rng = random.Random(14)
+    for _ in range(200):
+        sizes = [rng.randint(1, 8) for _ in range(rng.randint(2, 5))]
+        sys_, _ = _random_forest(rng, sizes)
+        with pytest.raises(DisconnectedError, match=f"^system has {len(sizes)} components$"):
+            neighborhood_invariants(sys_)
+        assert intersection_graph(sys_).component_count == len(sizes)
 
 
 def test_parse_round_trip():
