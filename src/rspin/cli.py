@@ -18,7 +18,7 @@ from . import curveconf
 from . import milnor as milnormod
 from . import picard
 from . import winding as windmod
-from .errors import DomainError, InconsistentInputError, read_text
+from .errors import DomainError, InconsistentInputError, NotSimpleError, read_text
 
 
 def _coords(text: str) -> tuple[int, ...]:
@@ -164,10 +164,12 @@ def _cmd_config(args) -> int:
     fmt = args.format
     q = {"curves": len(sys_.curves), "intersections": len(sys_.crossings)}
     human = [f"{len(sys_.curves)} curves, {len(sys_.crossings)} intersection points"]
-    simple = all(n <= 1 for n in sys_.pair_counts().values())
-    q["simple"] = int(simple)
-    if simple:
+    try:
         graph = curveconf.intersection_graph(sys_)
+    except NotSimpleError:
+        graph = None
+    q["simple"] = int(graph is not None)
+    if graph is not None:
         arboreal = graph.is_tree()
         q["arboreal"] = int(arboreal)
         q["e_arboreal"] = int(arboreal and curveconf.has_induced_e6(graph))

@@ -10,6 +10,7 @@ Twist words and braid words split `name^e` with `power`.  A record that
 validates its fields is a `Record` named tuple.
 """
 
+import codecs
 from typing import Iterable, Iterator
 
 
@@ -111,20 +112,30 @@ def int_token(token: str, line: str) -> int:
             f"expected an integer, got {token!r} in {line!r}") from None
 
 
-def read_text(path: str) -> str:
-    """The UTF-8 text of the file at `path`; other bytes are an InconsistentInputError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InconsistentInputError(
-            f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-
-
-# The text `read_lines` splits at a time, so a caller that consumes lines as
-# they come never holds a list of every line of a long file.
+# The bytes `read_text` decodes and the text `read_lines` splits at a time, so
+# neither the file's bytes and its text nor a list of every line of a long
+# file are held whole together.
 _CHUNK = 1 << 16
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path`; other bytes are an InconsistentInputError.
+
+    Decoded `_CHUNK` bytes at a time; the text grows in place as it goes.
+    """
+    decoder, text, read = codecs.getincrementaldecoder("utf-8")(), "", 0
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_CHUNK)
+            start = read - len(decoder.getstate()[0])  # file offset of the bytes decoded
+            try:
+                text += decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                raise InconsistentInputError(f"{path!r} is not UTF-8 text: {exc.reason} "
+                                             f"at byte {start + exc.start}") from None
+            if not chunk:
+                return text
+            read += len(chunk)
 
 
 def read_lines(text: str) -> Iterator[tuple[str, list[str]]]:

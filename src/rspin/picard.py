@@ -266,9 +266,12 @@ def jet_splitting_certificate(l: DivisorClass, ledger: JetLedger) -> Optional[Je
     Exact relative to the ledger (no claim about the surface): L1, L2 range over
     sums of ledger classes at their best levels under jet(A+B) >= jet(A) + jet(B),
     L1 least in coordinate order.  The ledger's claims make the sum H of its
-    classes ample, so sums x are visited by H-degree up to H.L with L - x in the
-    ledger's cone: cost O(T n log T) for n entries and T <= SEARCH_LIMIT sums,
-    T independent of L when all entries are multiples of one class.
+    classes ample.  Dominated multiples, entries k.w (k >= 2) at a level at most
+    k.jet(w), are dropped after the checks on the whole ledger; then sums x are
+    visited by H-degree up to H.L with L - x in the ledger's cone: cost
+    O(T n log T) for n kept entries and T <= SEARCH_LIMIT sums.  When all entries
+    are multiples a.c of one class, T <= (a* + 11).max(a) + a* + 1 independent of
+    L, for a* the best kept entry and max(a) the largest kept one.
     """
     lattice = l.lattice
     classes = [cls for cls in ledger.classes() if not cls.is_zero() or ledger.level(cls)]
@@ -281,6 +284,11 @@ def jet_splitting_certificate(l: DivisorClass, ledger: JetLedger) -> Optional[Je
     if degree <= 0:
         raise InconsistentInputError(f"ledger class ({','.join(map(str, coords))}) has "
                                      f"degree {degree} <= 0 against the ledger's sum")
+    # A sum using v = k.w (k >= 2) at level <= k.jet(w) has a form with k copies
+    # of w instead at the same level or higher, so dropping v changes no answer.
+    steps = [(d, v, lv) for d, v, lv in steps if not any(
+        d > e and d % e == 0 and v == tuple(d // e * x for x in w) and lv <= d // e * jet
+        for e, w, jet in steps)]
     c = tuple(x // math.gcd(*h) for x in h)
     unit, copies, bounds = lattice.pairing(h, c), 0, []
     if all(coords == tuple(deg // unit * x for x in c) for deg, coords, _ in steps):

@@ -33,6 +33,7 @@ from rspin.errors import (
     NotSimpleError,
     RibbonError,
     UnknownComponentError,
+    read_text,
 )
 from rspin.picard import (
     catalog_lattice,
@@ -808,8 +809,9 @@ def test_parse_and_certify_100k_step_file_is_fast():
 
 
 def test_run_folds_a_100k_step_file_as_it_reads(tmp_path, capsys):
-    # Folding each step as its line is read peaks at about 106 B a step: the
-    # text, and the lines of one 64 KiB chunk at a time.  Splitting the whole
+    # Folding each step as its line is read peaks at about 57 B a step: the
+    # 5.25 MB text, and the lines of one 64 KiB chunk at a time.  Decoding the
+    # whole file at once also held its bytes, 106 B a step; splitting the whole
     # text into a list of lines first peaked at 162 B; holding every step
     # record, at about 690 B.
     text, expected = _100k_step_file()
@@ -818,10 +820,14 @@ def test_run_folds_a_100k_step_file_as_it_reads(tmp_path, capsys):
     del text
     tracemalloc.start()
     try:
+        read_text(str(path))
+        text_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         code = cli.main(["assemblage", "run", str(path), "--format", "machine"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert text_peak < 6 << 20, f"read_text peaked at {text_peak / 2**20:.1f} MiB"
     q = cli.parse_machine(capsys.readouterr().out)
     assert code == 0 and q["verdict"] == "generates"
     assert int(q["final_chi"]) == 2 - 2 * 6 - 2 - 100_000

@@ -118,6 +118,30 @@ def test_config_traces_the_boundary_once(capsys, tmp_path, monkeypatch):
         assert calls == {"IntersectionGraph": 1, "_trace_faces": 1}, core
 
 
+@pytest.mark.parametrize("text,simple", [
+    ("curves a b c d\nintersections\nx a b\ny b c\nz b d\n", "1"),
+    (None, "1"),
+    ("curves a b c\nintersections\nx a b\ny b c\nz a b\n", "0"),
+], ids=["tree", "core", "pair-meets-twice"])
+def test_config_counts_pairs_only_when_some_pair_meets_twice(capsys, tmp_path, monkeypatch,
+                                                             text, simple):
+    # `simple` comes from the intersection graph's edges-versus-crossings test;
+    # crossings are counted per pair only to name a pair that meets twice.
+    calls = []
+    pair_counts = curveconf.CurveSystem.pair_counts
+    monkeypatch.setattr(curveconf.CurveSystem, "pair_counts",
+                        lambda self: calls.append(1) or pair_counts(self))
+    path = tmp_path / "conf.txt"
+    if text is not None:
+        path.write_text(text)
+    argv = ["--core"] if text is None else [str(path)]
+    for fmt in ("machine", "human"):
+        calls.clear()
+        code, out, _ = run(capsys, "config", "analyze", *argv, "--format", fmt)
+        assert code == 0 and bool(calls) == (simple == "0"), (fmt, calls)
+        assert fmt == "human" or parse_machine(out)["simple"] == simple
+
+
 def test_winding_cli(capsys, tmp_path):
     path = tmp_path / "wind.txt"
     path.write_text(

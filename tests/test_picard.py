@@ -337,7 +337,10 @@ def test_nine_entry_ledger_on_dp6_certifies():
 
 
 @pytest.mark.parametrize("name", ["P2", "P1xP1", "F1"])
-def test_report_deep_ledger_splits_off_six_h(name):
+def test_report_deep_ledger_splits_off_six_h(name, monkeypatch):
+    # (m-1)H at level m-1 is a dominated multiple of H: dropping it leaves the
+    # one-line search at most 14 sums, where keeping it took m + 1.
+    monkeypatch.setattr(picard, "SEARCH_LIMIT", 64)
     _, h = very_ample(name)
     for m in (8, 30, 300):
         ledger = JetLedger()
@@ -407,13 +410,17 @@ LINES = [("P2", (1,)), ("P2", (-1,)), ("P1xP1", (1, 1)), ("P1xP1", (-1, -1)),
 
 def test_ledgers_on_one_line_match_the_line_oracle():
     """Multiples of one class c, including c < 0 in coordinate order, where L1 is the
-    largest part; n runs past the point where copies of the best entry move out."""
+    largest part; n runs past the point where copies of the best entry move out.
+    Dominated multiples k.a at level <= k.level(a) move that point down."""
     rng = random.Random(41)
-    for _ in range(150):
+    for _ in range(300):
         name, c = rng.choice(LINES)
         lat = catalog_lattice(name)[0]
         c = lat.divisor(c)
         entries = {rng.randint(1, 5): rng.randint(0, 7) for _ in range(rng.randint(1, 3))}
+        for a, level in list(entries.items())[:rng.randint(0, 2)]:
+            k = rng.randint(2, 50)
+            entries[k * a] = max(entries.get(k * a, 0), rng.randint(0, k * level))
         ledger = JetLedger()
         for a, level in entries.items():
             ledger.declare(a * c, level)
@@ -430,9 +437,10 @@ def test_ledgers_on_one_line_match_the_line_oracle():
 @pytest.mark.parametrize("name,ledger", [
     ("P1xP1", {(1, 0): 0, (0, 1): 0, (1, 1): 1}),
     ("P1xP1", {(1, 0): 1, (0, 1): 1, (2, 1): 2}),
+    ("P1xP1", {(1, 0): 1, (0, 1): 1, (2, 1): 2, (4, 2): 3}),
     ("F1", {(1, 2): 1, (0, 1): 0, (1, 1): 0}),
     ("dP2", {(1, 0, 0): 1, (1, -1, 0): 0, (1, 0, -1): 0, (2, -1, -1): 1}),
-], ids=["quadric-rulings", "quadric-three", "f1", "dp2-dependent"])
+], ids=["quadric-rulings", "quadric-three", "quadric-dominated", "f1", "dp2-dependent"])
 def test_dependent_ledgers_match_the_complete_pool(name, ledger):
     lat = catalog_lattice(name)[0]
     table = JetLedger()
