@@ -42,6 +42,7 @@ from .errors import (
     InconsistentInputError,
     InconsistentStepError,
     InternalInconsistencyError,
+    Record,
     UnknownComponentError,
     int_token,
     read_lines,
@@ -69,7 +70,7 @@ class _StepFields(NamedTuple):
     curve_winding: int = 0
 
 
-class AssemblageStep(_StepFields):
+class AssemblageStep(Record, _StepFields):
     """One 1-handle attachment, an immutable record.
 
     split: the attaching arc starts and ends on `component`, replacing its
@@ -77,8 +78,6 @@ class AssemblageStep(_StepFields):
     merge: the arc joins `component` and `other`, replacing values (v1, v2)
     by the declared value v = v1 + v2 - 1.
 
-    Unlike `errors.Record` it checks its fields in its own `__new__`, before
-    the tuple is built, and `_replace` validates like the constructor.
     `assemblage run` builds none: it folds the bare field tuple of each step
     line as the line is read.  `parse_assemblage`, the stage patterns and
     `smoothing_assemblage` build and hold them all.
@@ -86,31 +85,23 @@ class AssemblageStep(_StepFields):
 
     __slots__ = ()
 
-    def __new__(cls, curve: str, mode: str, component: str, other: str = "",
-                new_names: tuple[str, ...] = (), new_values: tuple[int, ...] = (),
-                curve_winding: int = 0):
-        if mode == "split":
-            if len(new_names) != 2 or len(new_values) != 2:
+    def _check(self):
+        if self.mode == "split":
+            if len(self.new_names) != 2 or len(self.new_values) != 2:
                 raise InconsistentInputError(
-                    f"step {curve}: split needs two new names and values")
-            if new_names[0] == new_names[1]:
+                    f"step {self.curve}: split needs two new names and values")
+            if self.new_names[0] == self.new_names[1]:
                 raise InconsistentInputError(
-                    f"step {curve}: split needs two distinct new names")
-        elif mode == "merge":
-            if not other:
+                    f"step {self.curve}: split needs two distinct new names")
+        elif self.mode == "merge":
+            if not self.other:
                 raise InconsistentInputError(
-                    f"step {curve}: merge needs a second component")
-            if len(new_names) != 1 or len(new_values) != 1:
+                    f"step {self.curve}: merge needs a second component")
+            if len(self.new_names) != 1 or len(self.new_values) != 1:
                 raise InconsistentInputError(
-                    f"step {curve}: merge needs one new name and value")
+                    f"step {self.curve}: merge needs one new name and value")
         else:
-            raise InconsistentInputError(f"unknown step mode {mode!r}")
-        return tuple.__new__(cls, (curve, mode, component, other, new_names,
-                                   new_values, curve_winding))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "AssemblageStep":
-        return cls(*iterable)
+            raise InconsistentInputError(f"unknown step mode {self.mode!r}")
 
 
 class AssemblageState(NamedTuple):

@@ -4,6 +4,9 @@ Every data-producing subcommand supports --format human|machine.  Machine
 output is line-oriented key=value, deterministic for identical inputs, and
 round-trips: parsing it and re-rendering reproduces the same pairs.  Exit
 status: 0 success, 1 structured domain error, 2 usage error.
+
+`COMMANDS` lists each command's help, handler and arguments.  A handler
+returns (quantities, human lines), and `main` prints one of the two.
 """
 
 from __future__ import annotations
@@ -42,30 +45,22 @@ def parse_machine(text: str) -> dict:
     return out
 
 
-def _emit(quantities: dict, human_lines: Sequence[str], fmt: str) -> None:
-    if fmt == "machine":
-        print(render_machine(quantities))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 # -- lattice ------------------------------------------------------------------
 
 
-_LATTICE_ARGC = {"info": 0, "intersect": 2, "adjoint": 1, "genus": 1,
-                 "smoothed-genus": 2, "hypothesis": 1, "lefschetz": (0, 1)}
+# op -> the numbers of coordinate vectors it takes.
+_LATTICE_ARGC = {"info": (0,), "intersect": (2,), "adjoint": (1,), "genus": (1,),
+                 "smoothed-genus": (2,), "hypothesis": (1,), "lefschetz": (0, 1)}
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args):
     lattice, ledger = picard.resolve_lattice(args.lattice)
-    fmt = args.format
-    want = _LATTICE_ARGC[args.op]
-    allowed = want if isinstance(want, tuple) else (want,)
+    allowed = _LATTICE_ARGC[args.op]
     if len(args.args) not in allowed:
         raise InconsistentInputError(
             f"lattice {args.op} takes {' or '.join(str(w) for w in allowed)} "
             f"coordinate vector(s); got {len(args.args)}")
+    vectors = [lattice.divisor(_coords(text)) for text in args.args]
     if args.op == "info":
         q = {
             "name": lattice.name or "custom",
@@ -75,70 +70,51 @@ def _cmd_lattice(args) -> int:
                 ",".join(str(x) for x in cls.coords) + f":{ledger.level(cls)}"
                 for cls in sorted(ledger.classes(), key=lambda c: c.coords)),
         }
-        _emit(q, [f"lattice {q['name']}: rank {q['rank']}, signature (1,{lattice.rank - 1})",
-                  f"canonical class: ({q['canonical']})",
-                  f"certified jets: {q['jets'] or 'none'}"], fmt)
-        return 0
+        return q, [f"lattice {q['name']}: rank {q['rank']}, signature (1,{lattice.rank - 1})",
+                   f"canonical class: ({q['canonical']})",
+                   f"certified jets: {q['jets'] or 'none'}"]
     if args.op == "intersect":
-        a, b = lattice.divisor(_coords(args.args[0])), lattice.divisor(_coords(args.args[1]))
-        val = picard.intersect(a, b)
-        _emit({"product": val}, [f"{args.args[0]} . {args.args[1]} = {val}"], fmt)
-        return 0
+        val = picard.intersect(*vectors)
+        return {"product": val}, [f"{args.args[0]} . {args.args[1]} = {val}"]
     if args.op == "adjoint":
-        rep = picard.adjoint_and_root(lattice.divisor(_coords(args.args[0])))
+        rep = picard.adjoint_and_root(vectors[0])
         q = {"adjoint": ",".join(str(x) for x in rep.adjoint.coords),
              "divisibility": rep.divisibility, "degenerate": int(rep.degenerate)}
-        human = [f"adjoint class: ({q['adjoint']})"]
-        human.append("degenerate (K + L = 0): no maximal root"
-                     if rep.degenerate else f"maximal root order r = {rep.divisibility}")
-        _emit(q, human, fmt)
-        return 0
+        return q, [f"adjoint class: ({q['adjoint']})",
+                   "degenerate (K + L = 0): no maximal root"
+                   if rep.degenerate else f"maximal root order r = {rep.divisibility}"]
     if args.op == "genus":
-        g = picard.genus_of_section(lattice.divisor(_coords(args.args[0])))
-        _emit({"genus": g}, [f"genus of a smooth section: {g}"], fmt)
-        return 0
+        g = picard.genus_of_section(vectors[0])
+        return {"genus": g}, [f"genus of a smooth section: {g}"]
     if args.op == "smoothed-genus":
-        c = lattice.divisor(_coords(args.args[0]))
-        d = lattice.divisor(_coords(args.args[1]))
-        g = picard.smoothed_genus(c, d)
-        _emit({"genus": g}, [f"genus of the smoothed union: {g}"], fmt)
-        return 0
+        g = picard.smoothed_genus(*vectors)
+        return {"genus": g}, [f"genus of the smoothed union: {g}"]
     if args.op == "hypothesis":
-        l = lattice.divisor(_coords(args.args[0]))
-        split = picard.jet_splitting_certificate(l, ledger)
+        split = picard.jet_splitting_certificate(vectors[0], ledger)
         if split is None:
-            _emit({"hypothesis": "not-certified"},
-                  ["not certified: no 6-jet + very-ample splitting found "
-                   "(not a claim that none exists)"], fmt)
-        else:
-            q = {"hypothesis": "certified",
-                 "L1": ",".join(str(x) for x in split.l1.coords),
-                 "L2": ",".join(str(x) for x in split.l2.coords),
-                 "jet_L1": split.jet1, "jet_L2": split.jet2}
-            _emit(q, [f"certified: L = ({q['L1']}) + ({q['L2']}), "
-                      f"jets {split.jet1} and {split.jet2}"], fmt)
-        return 0
-    if args.op == "lefschetz":
-        gen = lattice.divisor(_coords(args.args[0])) if args.args else None
-        dec = picard.lefschetz_full_decision(lattice, gen, ledger)
-        q = {"exists": int(dec.exists), "rank": dec.rank,
-             "classification": dec.classification,
-             "exceptional": int(dec.exceptional)}
-        if dec.witness_multiple is not None:
-            q["witness_multiple"] = dec.witness_multiple
-        human = []
-        if dec.exists and dec.rank >= 2:
-            human.append("full-monodromy pencil exists (Picard rank >= 2)")
-        elif dec.exists:
-            human.append(f"rank 1, {dec.classification}: full mapping class group "
-                         f"achievable with multiple m = {dec.witness_multiple}"
-                         + (" (exceptional case in the rank criterion)"
-                            if dec.exceptional else ""))
-        else:
-            human.append(f"rank 1, {dec.classification}: no full-monodromy pencil")
-        _emit(q, human, fmt)
-        return 0
-    raise InconsistentInputError(f"unknown lattice op {args.op!r}")
+            return {"hypothesis": "not-certified"}, [
+                "not certified: no 6-jet + very-ample splitting found "
+                "(not a claim that none exists)"]
+        q = {"hypothesis": "certified",
+             "L1": ",".join(str(x) for x in split.l1.coords),
+             "L2": ",".join(str(x) for x in split.l2.coords),
+             "jet_L1": split.jet1, "jet_L2": split.jet2}
+        return q, [f"certified: L = ({q['L1']}) + ({q['L2']}), "
+                   f"jets {split.jet1} and {split.jet2}"]
+    dec = picard.lefschetz_full_decision(lattice, vectors[0] if vectors else None, ledger)
+    q = {"exists": int(dec.exists), "rank": dec.rank,
+         "classification": dec.classification,
+         "exceptional": int(dec.exceptional)}
+    if dec.witness_multiple is not None:
+        q["witness_multiple"] = dec.witness_multiple
+    if dec.exists and dec.rank >= 2:
+        return q, ["full-monodromy pencil exists (Picard rank >= 2)"]
+    if dec.exists:
+        return q, [f"rank 1, {dec.classification}: full mapping class group "
+                   f"achievable with multiple m = {dec.witness_multiple}"
+                   + (" (exceptional case in the rank criterion)"
+                      if dec.exceptional else "")]
+    return q, [f"rank 1, {dec.classification}: no full-monodromy pencil"]
 
 
 # -- config -------------------------------------------------------------------
@@ -159,9 +135,8 @@ def _load_config(args) -> curveconf.CurveSystem:
     return curveconf.parse_curve_system(read_text(args.file))
 
 
-def _cmd_config(args) -> int:
+def _cmd_config(args):
     sys_ = _load_config(args)
-    fmt = args.format
     q = {"curves": len(sys_.curves), "intersections": len(sys_.crossings)}
     human = [f"{len(sys_.curves)} curves, {len(sys_.crossings)} intersection points"]
     try:
@@ -190,21 +165,19 @@ def _cmd_config(args) -> int:
     except DomainError as exc:
         q["neighborhood"] = "unavailable"
         human.append(f"neighborhood invariants unavailable: {exc}")
-    _emit(q, human, fmt)
-    return 0
+    return q, human
 
 
 # -- winding ------------------------------------------------------------------
 
 
-def _cmd_winding(args) -> int:
-    fmt = args.format
-    if args.op == "census":
-        census = windmod.enumerate_forms(args.g)
-        q = {"genus": args.g, "arf0": census[0], "arf1": census[1]}
-        _emit(q, [f"genus {args.g}: {census[0]} forms with Arf 0, "
-                  f"{census[1]} with Arf 1"], fmt)
-        return 0
+def _cmd_winding_census(args):
+    census = windmod.enumerate_forms(args.g)
+    return ({"genus": args.g, "arf0": census[0], "arf1": census[1]},
+            [f"genus {args.g}: {census[0]} forms with Arf 0, {census[1]} with Arf 1"])
+
+
+def _cmd_winding_act(args):
     ctx, curves, word = windmod.parse_winding(read_text(args.file))
     q = {"modulus": ctx.modulus, "word": repr(word)}
     human = [f"context: g = {ctx.genus}, b = {len(ctx.boundary)}, "
@@ -220,8 +193,7 @@ def _cmd_winding(args) -> int:
             f"{name:<10} {str(list(before.hclass)):<18} "
             f"{str(list(after.hclass)):<18} {before.winding:>8} "
             f"{after.winding:>8} {windmod.is_admissible(before, ctx)}")
-    _emit(q, human, fmt)
-    return 0
+    return q, human
 
 
 # -- assemblage ---------------------------------------------------------------
@@ -245,11 +217,11 @@ def _certificate_quantities(cert: asmmod.FramingCertificate) -> dict:
     }
 
 
-def _cmd_assemblage(args) -> int:
+def _cmd_assemblage(args):
     core, ambient, modulus, values, steps = asmmod.read_assemblage(read_text(args.file))
     cert, count = asmmod.certify_steps(core, ambient, modulus, values, steps)
     q = _certificate_quantities(cert)
-    human = [
+    return q, [
         f"core: genus {cert.core_genus}, type E: {cert.type_e}",
         f"after {count} steps: g = {cert.final_genus}, "
         f"b = {cert.final_boundary}, chi = {cert.final_chi}",
@@ -260,40 +232,36 @@ def _cmd_assemblage(args) -> int:
          "mapping class group" if cert.verdict else
          "verdict: criteria not met (inapplicable)"),
     ]
-    _emit(q, human, args.format)
-    return 0
 
 
 # -- milnor -------------------------------------------------------------------
 
 
-def _cmd_milnor(args) -> int:
+def _cmd_milnor(args):
     germ = milnormod.PlaneGerm.parse(args.polynomial)
     res = milnormod.milnor_number(germ)
     k = milnormod.jet_requirement(germ, res.basis)
     q = {"mu": res.mu, "basis": ",".join(res.basis_strings()),
          "truncation": res.truncation, "jet_requirement": k}
-    _emit(q, [f"mu = {res.mu}",
-              f"monomial basis: {{{', '.join(res.basis_strings())}}}",
-              f"stabilized at truncation degree {res.truncation}",
-              f"jet requirement: {k}"], args.format)
-    return 0
+    return q, [f"mu = {res.mu}",
+               f"monomial basis: {{{', '.join(res.basis_strings())}}}",
+               f"stabilized at truncation degree {res.truncation}",
+               f"jet requirement: {k}"]
 
 
 # -- psi / mainlemma ----------------------------------------------------------
 
 
-def _cmd_psi(args) -> int:
+def _cmd_psi(args):
     word = braidcalc.parse_word(args.word)
     image = braidcalc.psi(word, args.d)
     q = {"psi": ",".join(str(v) for v in image.vec),
          "in_kernel": int(image.is_zero())}
-    _emit(q, [f"psi = ({', '.join(str(v) for v in image.vec)})",
-              f"in principal-stabilizer kernel: {image.is_zero()}"], args.format)
-    return 0
+    return q, [f"psi = ({', '.join(str(v) for v in image.vec)})",
+               f"in principal-stabilizer kernel: {image.is_zero()}"]
 
 
-def _cmd_mainlemma(args) -> int:
+def _cmd_mainlemma(args):
     k = list(_coords(args.k))
     arc = _coords(args.arc) if args.arc else (1, 2)
     plan = braidcalc.correction_plan(k, arc_endpoints=tuple(arc), third=args.third)
@@ -302,16 +270,15 @@ def _cmd_mainlemma(args) -> int:
     q = {"word": braidcalc.render_word(plan.word), "ell": plan.exponent,
          "psi_after": ",".join(str(v) for v in combined),
          "verified": int(all(v == 0 for v in combined))}
-    _emit(q, [f"correction word: {q['word']}",
-              f"twist exponent ell = {plan.exponent}",
-              f"psi(plan . input) = ({q['psi_after']})  [verified]"], args.format)
-    return 0
+    return q, [f"correction word: {q['word']}",
+               f"twist exponent ell = {plan.exponent}",
+               f"psi(plan . input) = ({q['psi_after']})  [verified]"]
 
 
 # -- report / catalog ---------------------------------------------------------
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     lattice, ledger = picard.resolve_lattice(args.surface)
     c = lattice.divisor(_coords(args.C))
     d = lattice.divisor(_coords(args.D))
@@ -335,27 +302,76 @@ def _cmd_report(args) -> int:
     for w in doc.warnings:
         human.append(f"warning: {w}")
     human.append(f"verdict: {doc.verdict}")
-    _emit(q, human, args.format)
-    return 0
+    return q, human
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args):
     if args.op == "list":
         names = picard.catalog_names()
-        _emit({"lattices": ",".join(names)},
-              [f"{len(names)} catalog lattices:"] + [f"  {n}" for n in names],
-              args.format)
-        return 0
-    if args.op == "show":
-        if not args.name:
-            raise InconsistentInputError("catalog show needs a lattice name")
-        lattice, ledger = picard.catalog_lattice(args.name)
-        print(picard.render_lattice(lattice, ledger), end="")
-        return 0
-    raise InconsistentInputError(f"unknown catalog op {args.op!r}")
+        human = [f"{len(names)} catalog lattices:"] + [f"  {n}" for n in names]
+        return {"lattices": ",".join(names)}, human
+    if not args.name:
+        raise InconsistentInputError("catalog show needs a lattice name")
+    # No quantities: both formats print the lattice file, which `lattice` parses back.
+    return None, picard.render_lattice(*picard.catalog_lattice(args.name)).splitlines()
 
 
 # -- parser -------------------------------------------------------------------
+
+
+# command -> (help, handler, *arguments), each argument an `add_argument`
+# (name or flag, options) pair; every command also takes --format.  A table in
+# the handler's place nests subcommands, whose name is kept as `op`.
+COMMANDS = {
+    "lattice": ("Picard-lattice arithmetic", _cmd_lattice,
+                ("lattice", {"help": "catalog name or lattice file"}),
+                ("op", {"choices": tuple(_LATTICE_ARGC)}),
+                ("args", {"nargs": "*", "help": "coordinate vectors, comma-separated"})),
+    "config": ("curve configuration analysis", _cmd_config,
+               ("op", {"choices": ("analyze",)}),
+               ("file", {"nargs": "?", "help": "configuration file"}),
+               ("--chain", {"type": int, "help": "use the n-curve chain"}),
+               ("--dynkin", {"help": "use a Dynkin configuration (A_n, E6)"}),
+               ("--core", {"action": "store_true", "help": "use the 13-curve A7+E6 core"})),
+    "winding": ("winding values under twist words", {
+        "act": ("apply a twist word to declared curves", _cmd_winding_act, ("file", {})),
+        "census": ("mod-2 quadratic form census by Arf", _cmd_winding_census,
+                   ("--g", {"type": int, "required": True})),
+    }),
+    "assemblage": ("run an assemblage description", _cmd_assemblage,
+                   ("op", {"choices": ("run",)}), ("file", {})),
+    "milnor": ("Milnor number of a plane germ", _cmd_milnor,
+               ("polynomial", {"help": 'e.g. "x^3+y^4"'})),
+    "psi": ("abelianized image of a braid word", _cmd_psi,
+            ("word", {"help": 'e.g. "m(1,2)^2 b(3) s(tag)"'}),
+            ("--d", {"type": int, "required": True, "help": "boundary circle count"})),
+    "mainlemma": ("correction word for a psi image", _cmd_mainlemma,
+                  ("--k", {"required": True,
+                           "help": "comma-separated image vector; use --k=-3,1,... when "
+                                   "the leading entry is negative"}),
+                  ("--arc", {"help": "arc endpoint indices i,j (default 1,2)"}),
+                  ("--third", {"type": int, "default": 3,
+                               "help": "enclosing third index (default 3)"})),
+    "report": ("end-to-end monodromy report", _cmd_report,
+               ("--surface", {"required": True, "help": "catalog name or lattice file"}),
+               ("--C", {"required": True, "help": "first section class, comma-separated"}),
+               ("--D", {"required": True, "help": "second section class"})),
+    "catalog": ("built-in lattice catalog", _cmd_catalog,
+                ("op", {"choices": ("list", "show")}), ("name", {"nargs": "?"})),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_, handler, *arguments) in table.items():
+        p = sub.add_parser(name, help=help_)
+        if isinstance(handler, dict):
+            _add_commands(p, handler, "op")
+            continue
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--format", choices=("human", "machine"), default="human")
+        p.set_defaults(func=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,88 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rspin",
         description="Winding-number calculus, assemblage certificates, and "
                     "Picard-lattice monodromy reports.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("human", "machine"), default="human")
-
-    p = sub.add_parser("lattice", help="Picard-lattice arithmetic")
-    p.add_argument("lattice", help="catalog name or lattice file")
-    p.add_argument("op", choices=("info", "intersect", "adjoint", "genus",
-                                  "smoothed-genus", "hypothesis", "lefschetz"))
-    p.add_argument("args", nargs="*", help="coordinate vectors, comma-separated")
-    add_format(p)
-    p.set_defaults(func=_cmd_lattice)
-
-    p = sub.add_parser("config", help="curve configuration analysis")
-    p.add_argument("op", choices=("analyze",))
-    p.add_argument("file", nargs="?", help="configuration file")
-    p.add_argument("--chain", type=int, help="use the n-curve chain")
-    p.add_argument("--dynkin", help="use a Dynkin configuration (A_n, E6)")
-    p.add_argument("--core", action="store_true",
-                   help="use the 13-curve A7+E6 core")
-    add_format(p)
-    p.set_defaults(func=_cmd_config)
-
-    p = sub.add_parser("winding", help="winding values under twist words")
-    wsub = p.add_subparsers(dest="op", required=True)
-    pa = wsub.add_parser("act", help="apply a twist word to declared curves")
-    pa.add_argument("file")
-    add_format(pa)
-    pa.set_defaults(func=_cmd_winding)
-    pc = wsub.add_parser("census", help="mod-2 quadratic form census by Arf")
-    pc.add_argument("--g", type=int, required=True)
-    add_format(pc)
-    pc.set_defaults(func=_cmd_winding)
-
-    p = sub.add_parser("assemblage", help="run an assemblage description")
-    p.add_argument("op", choices=("run",))
-    p.add_argument("file")
-    add_format(p)
-    p.set_defaults(func=_cmd_assemblage)
-
-    p = sub.add_parser("milnor", help="Milnor number of a plane germ")
-    p.add_argument("polynomial", help='e.g. "x^3+y^4"')
-    add_format(p)
-    p.set_defaults(func=_cmd_milnor)
-
-    p = sub.add_parser("psi", help="abelianized image of a braid word")
-    p.add_argument("word", help='e.g. "m(1,2)^2 b(3) s(tag)"')
-    p.add_argument("--d", type=int, required=True, help="boundary circle count")
-    add_format(p)
-    p.set_defaults(func=_cmd_psi)
-
-    p = sub.add_parser("mainlemma", help="correction word for a psi image")
-    p.add_argument("--k", required=True,
-                   help="comma-separated image vector; use --k=-3,1,... when "
-                        "the leading entry is negative")
-    p.add_argument("--arc", help="arc endpoint indices i,j (default 1,2)")
-    p.add_argument("--third", type=int, default=3,
-                   help="enclosing third index (default 3)")
-    add_format(p)
-    p.set_defaults(func=_cmd_mainlemma)
-
-    p = sub.add_parser("report", help="end-to-end monodromy report")
-    p.add_argument("--surface", required=True, help="catalog name or lattice file")
-    p.add_argument("--C", required=True, help="first section class, comma-separated")
-    p.add_argument("--D", required=True, help="second section class")
-    add_format(p)
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("catalog", help="built-in lattice catalog")
-    p.add_argument("op", choices=("list", "show"))
-    p.add_argument("name", nargs="?")
-    add_format(p)
-    p.set_defaults(func=_cmd_catalog)
-
+    _add_commands(parser, COMMANDS, "command")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        quantities, human = args.func(args)
+        machine = quantities is not None and args.format == "machine"
+        print(render_machine(quantities) if machine else "\n".join(human))
+        return 0
     except (DomainError, OSError, ValueError) as exc:
         # A ValueError is a bug, unless an answer passed Python's int-to-str digit limit.
         if isinstance(exc, ValueError) and "integer string conversion" not in str(exc):

@@ -102,6 +102,19 @@ class CurveSystem:
             self.curves, frozenset(frozenset(x.curves) for x in self.crossings))
 
     @cached_property
+    def _met_twice(self) -> Optional[str]:
+        """Why the system is not simple, naming a pair that meets twice; or None.
+
+        Fewer edges than crossings means some pair meets twice; only then are
+        the pairs counted, to name it.
+        """
+        if len(self._graph.edges) == len(self.crossings):
+            return None
+        pair, n = next((p, n) for p, n in self.pair_counts().items() if n > 1)
+        a, b = sorted(pair)
+        return f"curves {a}, {b} meet in {n} points"
+
+    @cached_property
     def _invariants(self) -> "NeighborhoodInvariants":
         components = self._graph.component_count
         if components == 0:
@@ -160,7 +173,8 @@ class IntersectionGraph(_GraphFields):
     """Curves and the pairs that meet; one per `CurveSystem`, kept on it.
 
     Without `__slots__`, so each instance keeps a `__dict__` for its
-    adjacency and its component count (one DFS), built once on first use.
+    adjacency, its component count (one DFS) and its E6 centre test, each
+    found once on first use.
     """
 
     @cached_property
@@ -178,6 +192,13 @@ class IntersectionGraph(_GraphFields):
 
     def neighbors(self, v: str) -> list[str]:
         return list(self._adjacency[v])
+
+    @cached_property
+    def _has_e6_centre(self) -> bool:
+        """Some vertex of degree >= 3 has two neighbours of degree >= 2."""
+        adj = self._adjacency
+        return any(len(ws) >= 3 and sum(len(adj[w]) >= 2 for w in ws) >= 2
+                   for ws in adj.values())
 
     @cached_property
     def component_count(self) -> int:
@@ -219,15 +240,12 @@ class NeighborhoodInvariants(Record, _NeighborhoodFields):
 def intersection_graph(sys: CurveSystem) -> IntersectionGraph:
     """Vertices are curves; an edge means exactly one geometric intersection.
 
-    The graph is built once and kept on `sys`.  Fewer edges than crossings
-    means some pair meets twice; only then are the pairs counted, to name it.
+    The graph, and the pair that meets twice if one does, are found once
+    and kept on `sys`.
     """
-    graph = sys._graph
-    if len(graph.edges) < len(sys.crossings):
-        pair, n = next((p, n) for p, n in sys.pair_counts().items() if n > 1)
-        a, b = sorted(pair)
-        raise NotSimpleError(f"curves {a}, {b} meet in {n} points")
-    return graph
+    if sys._met_twice is not None:
+        raise NotSimpleError(sys._met_twice)
+    return sys._graph
 
 
 def is_arboreal(sys: CurveSystem) -> bool:
@@ -240,13 +258,11 @@ def has_induced_e6(graph: IntersectionGraph) -> bool:
     Requires a tree.  There every connected vertex set induces a subtree, so
     an E6 exists iff some vertex of degree >= 3 has two neighbours of degree
     >= 2: it is the centre, and the two arms of length 2 run through those
-    neighbours.  One O(V + E) pass.
+    neighbours.  One O(V + E) pass over the adjacency, kept on the graph.
     """
     if not graph.is_tree():
         raise UnsupportedTypeError("the E6 criterion needs a tree intersection graph")
-    return any(graph.degree(v) >= 3
-               and sum(graph.degree(w) >= 2 for w in graph.neighbors(v)) >= 2
-               for v in graph.vertices)
+    return graph._has_e6_centre
 
 
 def is_e_arboreal(sys: CurveSystem) -> bool:

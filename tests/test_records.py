@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from rspin.assemblage import AssemblageStep
 from rspin.braidcalc import BraidGenerator, PsiImage
 from rspin.curveconf import Crossing, NeighborhoodInvariants
 from rspin.errors import InconsistentInputError, ParityError, UnsupportedTypeError
@@ -25,6 +26,10 @@ VALIDATING = [
     (BraidGenerator("meridian", (1, 2)), {"indices": (2, 1)}, InconsistentInputError),
     (BraidGenerator("meridian", (1, 2)), {"kind": "twist"}, UnsupportedTypeError),
     (PsiImage((1, 1, 0)), {"vec": (1, 0, 0)}, ParityError),
+    (AssemblageStep("t1", "merge", "a", other="b", new_names=("j",), new_values=(3,)),
+     {"other": ""}, InconsistentInputError),
+    (AssemblageStep("t2", "split", "a", new_names=("l", "r"), new_values=(1, 0)),
+     {"new_names": ("l", "l")}, InconsistentInputError),
 ]
 
 
