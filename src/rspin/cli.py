@@ -2,8 +2,10 @@
 
 Every data-producing subcommand supports --format human|machine.  Machine
 output is line-oriented key=value, deterministic for identical inputs, and
-round-trips: parsing it and re-rendering reproduces the same pairs.  Exit
-status: 0 success, 1 structured domain error, 2 usage error.
+round-trips: parsing it and re-rendering reproduces the same pairs.  The one
+exception is `catalog show`, which prints the lattice file in both formats; the
+`lattice` command parses it back.  Exit status: 0 success, 1 structured domain
+error, 2 usage error.
 
 `COMMANDS` lists each command's help, handler and arguments.  A handler
 returns (quantities, human lines), and `main` prints one of the two.

@@ -19,6 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from . import curveconf
 from .errors import (
     SEARCH_LIMIT,
     InconsistentInputError,
@@ -27,7 +28,6 @@ from .errors import (
     UnsupportedTypeError,
     int_token,
 )
-from .curveconf import CurveSystem, chain, dynkin
 
 Monomial = tuple[int, int]
 
@@ -268,7 +268,7 @@ def jet_requirement(f: PlaneGerm, basis: Sequence[Monomial]) -> int:
     return max(f.degree() + 2, basis_deg)
 
 
-def morsification_reference(kind: str) -> CurveSystem:
+def morsification_reference(kind: str) -> curveconf.CurveSystem:
     """Reference vanishing-cycle configuration for a singularity type.
 
     A_n gives the n-chain; E6 the standard tree.  For A7 the curves carry
@@ -277,19 +277,19 @@ def morsification_reference(kind: str) -> CurveSystem:
     """
     kind = kind.strip().upper().replace("_", "")
     if kind == "E6":
-        return dynkin("E6")
+        return curveconf.dynkin("E6")
     if kind.startswith("A"):
         try:
             n = int(kind[1:])
         except ValueError:
             raise UnsupportedTypeError(f"unsupported type {kind!r}") from None
-        sys = chain(n, prefix="a")
+        sys = curveconf.chain(n, prefix="a")
         if n == 7:
             roles = {f"a{i}": ("boundary-circle" if i % 2 == 1 else "cross-arc")
                      for i in range(1, 8)}
-            return CurveSystem(sys.curves, sys.crossings, roles=roles,
-                               note="local smoothing picture recorded as "
-                                    "reference data (divide-theoretic input)")
+            return curveconf.CurveSystem(sys.curves, sys.crossings, roles=roles,
+                                         note="local smoothing picture recorded as "
+                                              "reference data (divide-theoretic input)")
         return sys
     raise UnsupportedTypeError(f"unsupported type {kind!r}")
 

@@ -16,7 +16,6 @@ import functools
 import heapq
 import math
 import operator
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -236,6 +235,8 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 def _cone_bounds(vectors: list, target: tuple) -> Optional[list]:
     """Integer functionals >= 0 on all vectors (all facets if they are independent),
     or None if target is outside their span."""
+    from fractions import Fraction  # here: no one-line ledger, so no catalog, needs it
+
     rows = []  # (echelon row, its coordinates over the vectors, pivot)
 
     def reduce(v):
@@ -258,6 +259,13 @@ def _cone_bounds(vectors: list, target: tuple) -> Optional[list]:
     bounds = [[int(a * math.lcm(*(b.denominator for b in phi))) for a in phi]
               for phi in zip(*units)]
     return [phi for phi in bounds if any(phi) and all(_dot(phi, v) >= 0 for v in vectors)]
+
+
+def _best_entry(steps: list) -> tuple:
+    """The (degree, coords, level) entry of highest level per degree, ties to the
+    smaller degree; level * (lcm // degree) ranks level / degree exactly."""
+    lcm = math.lcm(*(degree for degree, _, _ in steps))
+    return max(steps, key=lambda s: (s[2] * (lcm // s[0]), -s[0]))
 
 
 def jet_splitting_certificate(l: DivisorClass, ledger: JetLedger) -> Optional[JetSplitting]:
@@ -300,7 +308,7 @@ def jet_splitting_certificate(l: DivisorClass, ledger: JetLedger) -> Optional[Je
         # coordinate order, L2 (one entry) is at most 6.max(a) multiples, so
         # copies of a* taken out of L while n stays >= B + 12.max(a) belong to
         # the other part and change nothing else.
-        star = max(steps, key=lambda s: (Fraction(s[2], s[0]), -s[0]))
+        star = _best_entry(steps)
         a_star, a_max = star[0] // unit, steps[-1][0] // unit
         n = lattice.pairing(h, l.coords) // unit  # L = n.c when L is on this line
         copies = max(0, (n - (a_star + 11) * a_max - 1) // a_star)

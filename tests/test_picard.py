@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -432,6 +433,31 @@ def test_ledgers_on_one_line_match_the_line_oracle():
         else:
             t, u, jet1, jet2 = want
             assert got == JetSplitting(t * c, u * c, jet1, jet2), (name, c, entries, n)
+
+
+def test_best_entry_ranks_level_per_degree_as_the_fraction_does(monkeypatch):
+    """The integer key picks the a* that Fraction(level, degree) picks on one-line
+    ledgers, with a tie going to the smaller degree."""
+    best_entry, seen = picard._best_entry, []
+
+    def spy(steps):
+        seen.append(steps)
+        return best_entry(steps)
+
+    monkeypatch.setattr(picard, "_best_entry", spy)
+    rng = random.Random(43)
+    ledgers = [("P2", (1,), {2: 2, 3: 3})] + [
+        (*rng.choice(LINES), {rng.randint(1, 12): rng.randint(0, 9)
+                              for _ in range(rng.randint(1, 4))}) for _ in range(300)]
+    for name, c, entries in ledgers:
+        lat = catalog_lattice(name)[0]
+        ledger = JetLedger()
+        for a, level in entries.items():
+            ledger.declare(a * lat.divisor(c), level)
+        jet_splitting_certificate(rng.randint(0, 60) * lat.divisor(c), ledger)
+    assert best_entry(seen[0])[1:] == ((2,), 2) and len(seen) > 250
+    for steps in seen:
+        assert best_entry(steps) == max(steps, key=lambda s: (Fraction(s[2], s[0]), -s[0]))
 
 
 @pytest.mark.parametrize("name,ledger", [

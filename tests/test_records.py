@@ -1,5 +1,7 @@
-"""Value records are validated named tuples, and `import rspin.cli` stays light."""
+"""Value records are validated named tuples, `import rspin.cli` stays light, and the
+package re-exports each layer's names while running no layer until first use."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -58,10 +60,84 @@ def test_divisor_class_is_a_ledger_key_and_scales_from_either_side():
     assert h * 3 + h - 2 * h == -(-h * 2)
 
 
-def test_import_cli_loads_no_class_generating_modules():
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `code` in a new interpreter importing rspin from this checkout."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rspin.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-E", "-s", "-c", code, os.path.abspath(src)],
-                         capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out == "[]\n"
+    code = "import sys; sys.path.insert(0, sys.argv[1])\n" + code
+    return subprocess.run([sys.executable, "-E", "-s", "-c", code, os.path.abspath(src)],
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+
+
+def test_import_cli_loads_no_class_generating_modules():
+    code = "import rspin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh_interpreter(code) == "[]\n"
+
+
+LAYERS = ("picard", "curveconf", "winding", "assemblage", "milnor", "braidcalc")
+
+
+def test_layers_run_on_first_use():
+    """`import rspin.cli` runs no layer and loads neither fractions nor decimal; a
+    catalog list runs picard alone, and a catalog report never reaches milnor,
+    braidcalc or fractions."""
+    code = f"""
+import contextlib, io, types
+import rspin.cli
+
+def state():
+    ran = [n for n in {LAYERS!r} if type(sys.modules["rspin." + n]) is types.ModuleType]
+    return ran, sorted({{"fractions", "decimal"}} & set(sys.modules))
+
+states = [state()]
+with contextlib.redirect_stdout(io.StringIO()):
+    rspin.cli.main(["catalog", "list"])
+    states.append(state())
+    rspin.cli.main(["report", "--surface", "P2", "--C", "6", "--D", "1"])
+states.append(state())
+print(states)
+"""
+    assert ast.literal_eval(_fresh_interpreter(code)) == [
+        ([], []),
+        (["picard"], []),
+        (["picard", "curveconf", "winding", "assemblage"], []),
+    ]
+
+
+# What the package re-exported from each layer when it ran them all on import.
+EXPORTS = {
+    "picard": """AdjointReport DivisorClass JetLedger JetSplitting PicardLattice
+        adjoint_and_root catalog_lattice catalog_names genus_of_section intersect
+        jet_compose jet_splitting_certificate lefschetz_full_decision smoothed_genus""",
+    "curveconf": """Crossing CurveSystem IntersectionGraph NeighborhoodInvariants chain
+        dynkin e6_a7_core intersection_graph is_arboreal is_e_arboreal is_spanning
+        neighborhood_invariants""",
+    "winding": """HomologyCurve QuadraticFormMod2 TwistWord WindingContext WindingFunction
+        act coherence_check enumerate_forms is_admissible orbit_gcd reduce_mod
+        twist_value""",
+    "assemblage": """Assemblage AssemblageState AssemblageStep FramingCertificate
+        ReportDocument apply_step capping_order certify monodromy_report
+        smoothing_assemblage verify_core""",
+    "milnor": """MilnorResult PlaneGerm jacobian jet_requirement milnor_number
+        morsification_reference""",
+    "braidcalc": """BraidGenerator CorrectionPlan PsiImage boundary_twist correction_plan
+        homology_trace in_stabilizer meridian point_push psi stabilizer_element""",
+}
+
+
+def test_package_binds_the_same_objects_as_an_eager_import():
+    import rspin
+
+    for layer, names in EXPORTS.items():
+        home = sys.modules[f"rspin.{layer}"]
+        for name in names.split():
+            ns = {}
+            exec(f"from rspin import {name}", ns)
+            assert ns[name] is getattr(home, name), (layer, name)
+    star = {}
+    exec("from rspin import *", star)
+    del star["__builtins__"]
+    public = {*EXPORTS, "errors", *" ".join(EXPORTS.values()).split()}
+    assert set(star) == public and public <= set(dir(rspin))
+    assert all(star[name] is sys.modules[f"rspin.{name}"] for name in (*EXPORTS, "errors"))
+    with pytest.raises(AttributeError):
+        rspin.no_such_name
