@@ -361,31 +361,26 @@ def capping_order(values: Sequence[int]) -> int:
 
 
 CORE_VALUES = (("dC", -9), ("dD", -3))
-_CORE_SIDES = tuple(n for n, _ in CORE_VALUES)
-_CORE_START = tuple(v for _, v in CORE_VALUES)
+_CORE_SIDES, _CORE_START = zip(*CORE_VALUES)
 
-Sides = tuple[str, str]
-Pattern = Callable[[int, int, Sides, tuple[int, int]],
-                   tuple[tuple[AssemblageStep, ...], Sides]]
+Pattern = Callable[[int, tuple[int, int]], tuple[AssemblageStep, ...]]
 
 
 class Stage(NamedTuple):
     """One handle pair of the two-section construction and its repeat count.
 
-    ``pattern(k, serial, sides, values)`` builds repeat k from the names and
-    values of the two section boundaries (C side, D side) entering it;
-    ``serial`` counts the fresh names used before the repeat, and each repeat
-    uses ``serials`` more.  A repeat turns the two section boundaries into
-    two new ones with the same step modes every time, so it adds the same
-    genus (one, for a split/merge pair), and moves the values by ``shift``.
-    Declared values are affine in the incoming values, so the sum rule of
-    repeat k is affine in k.
+    ``pattern(k, values)`` builds repeat k from the values (C side, D side)
+    of the section boundaries entering it.  Every repeat consumes ``dC`` and
+    ``dD`` and leaves two new ones under the same names (transient names
+    ``s1``, ``s2``, ``j``) by the same step modes, so it adds the same genus
+    and moves the values by ``shift``: the state entering repeat k is a
+    closed form in k.  Declared values are affine in the incoming values, so
+    the sum rule of repeat k is affine in k.
     """
 
     pattern: Pattern
     repeats: int
     shift: tuple[int, int]
-    serials: int
 
     def values_at(self, values: tuple[int, int], k: int) -> tuple[int, int]:
         """Section boundary values entering repeat k, given those entering the stage."""
@@ -407,32 +402,25 @@ class TwoSection(NamedTuple):
 
 def _genus_pair(tag: str, side: int) -> Pattern:
     """Split one section's boundary and merge the halves: one more genus."""
-    prefix = _CORE_SIDES[side]
+    name = _CORE_SIDES[side]
 
-    def pattern(k, serial, sides, values):
-        left, right = f"s{serial + 1}", f"s{serial + 2}"
-        merged = f"{prefix}{serial + 4}"
+    def pattern(k, values):
         v = values[side]
-        pair = (AssemblageStep(f"{tag}{serial + 3}", "split", sides[side],
-                               new_names=(left, right), new_values=(v - 1, 0)),
-                AssemblageStep(f"{tag}{serial + 5}", "merge", left, other=right,
-                               new_names=(merged,), new_values=(v - 2,)))
-        return pair, ((merged, sides[1]) if side == 0 else (sides[0], merged))
+        return (AssemblageStep(f"{tag}{2 * k + 1}", "split", name,
+                               new_names=("s1", "s2"), new_values=(v - 1, 0)),
+                AssemblageStep(f"{tag}{2 * k + 2}", "merge", "s1", other="s2",
+                               new_names=(name,), new_values=(v - 2,)))
 
     return pattern
 
 
-def _walk_pair(k, serial, sides, values):
+def _walk_pair(k, values):
     """Merge the two section boundaries and split them apart, one circle on."""
-    i = k + 5
-    joined, new_c, new_d = f"j{serial + 1}", f"dC{serial + 2}", f"dD{serial + 3}"
     v_c, v_d = values
-    pair = (AssemblageStep(f"t{i}", "merge", sides[0], other=sides[1],
-                           new_names=(joined,), new_values=(v_c + v_d - 1,)),
-            AssemblageStep(f"delta{i}", "split", joined,
-                           new_names=(new_c, new_d),
+    return (AssemblageStep(f"t{k + 5}", "merge", "dC", other="dD",
+                           new_names=("j",), new_values=(v_c + v_d - 1,)),
+            AssemblageStep(f"delta{k + 5}", "split", "j", new_names=_CORE_SIDES,
                            new_values=(v_c - 1, v_d - 1)))
-    return pair, (new_c, new_d)
 
 
 def two_section(g_c: int, g_d: int, d: int) -> TwoSection:
@@ -456,9 +444,9 @@ def two_section(g_c: int, g_d: int, d: int) -> TwoSection:
     expected = (1 - 2 * g_c - d, 1 - 2 * g_d - d)
     stages: tuple[Stage, ...] = ()
     if g_c >= 3:
-        stages = (Stage(_genus_pair("hc", 0), g_c - 3, (-2, 0), 5),
-                  Stage(_walk_pair, d - 4, (-1, -1), 3),
-                  Stage(_genus_pair("hd", 1), g_d, (0, -2), 5))
+        stages = (Stage(_genus_pair("hc", 0), g_c - 3, (-2, 0)),
+                  Stage(_walk_pair, d - 4, (-1, -1)),
+                  Stage(_genus_pair("hd", 1), g_d, (0, -2)))
         landed = _CORE_START
         for stage in stages:
             landed = stage.values_at(landed, stage.repeats)
@@ -483,12 +471,10 @@ def smoothing_assemblage(
     """
     table = two_section(g_c, g_d, d)
     steps: list[AssemblageStep] = []
-    sides, values, serial = _CORE_SIDES, _CORE_START, 0
+    values = _CORE_START
     for stage in table.stages:
         for k in range(stage.repeats):
-            pair, sides = stage.pattern(k, serial, sides, stage.values_at(values, k))
-            steps += pair
-            serial += stage.serials
+            steps += stage.pattern(k, stage.values_at(values, k))
         values = stage.values_at(values, stage.repeats)
     return Assemblage(table.core, tuple(steps), table.ambient), table.expected
 
@@ -496,65 +482,57 @@ def smoothing_assemblage(
 def _fold_stage(
     stage: Stage,
     state: AssemblageState,
-    sides: Sides,
     values: tuple[int, int],
-    serial: int,
-) -> tuple[AssemblageState, Sides, bool]:
+) -> tuple[AssemblageState, bool]:
     """Fold repeats 0 and n - 1 of a non-empty stage entered at `state`.
 
-    Returns the state and section boundary names the explicit fold of all n
-    repeats reaches, and whether the curves of the folded repeats carry
-    winding zero.
+    Returns the state the explicit fold of all n repeats reaches and whether
+    the folded repeats' curves carry winding zero.  Each folded repeat must
+    leave exactly ``dC`` and ``dD`` with the table's values; as every repeat
+    keeps those names, repeat n - 1 is entered at `state` plus n - 1 repeats'
+    genus, with the values ``values_at(values, n - 1)`` in repeat 0's order.
     """
 
-    def repeat(k, entry, entry_sides):
-        pair, out = stage.pattern(k, serial + k * stage.serials, entry_sides,
-                                  stage.values_at(values, k))
-        entry, windings_zero = _fold(entry, pair)
-        landing = tuple(zip(out, stage.values_at(values, k + 1)))
-        if sorted(entry.boundaries) != sorted(landing):
+    def repeat(k, entry):
+        entry, windings_zero = _fold(entry, stage.pattern(k, stage.values_at(values, k)))
+        landing = dict(zip(_CORE_SIDES, stage.values_at(values, k + 1)))
+        if dict(entry.boundaries) != landing:
             raise InconsistentStepError(
                 f"stage repeat {k} lands on {entry.boundaries}; the stage "
                 f"table says {landing}")
-        return entry, out, windings_zero
+        return entry, windings_zero
 
-    after, out, first_zero = repeat(0, state, sides)
+    after, first_zero = repeat(0, state)
     k = stage.repeats - 1
     if k == 0:
-        return after, out, first_zero
-    # Names entering repeat k come from repeat k - 1; genus and values are the
-    # stage entry's, advanced by k repeats.
-    _, entry_sides = stage.pattern(k - 1, serial + (k - 1) * stage.serials, sides,
-                                   stage.values_at(values, k - 1))
-    rename = dict(zip(out, zip(entry_sides, stage.values_at(values, k))))
+        return after, first_zero
+    entering = dict(zip(_CORE_SIDES, stage.values_at(values, k)))
     entry = AssemblageState(state.genus + k * (after.genus - state.genus),
-                            tuple(rename[n] for n, _ in after.boundaries),
+                            tuple((n, entering[n]) for n, _ in after.boundaries),
                             state.modulus)
     entry.check_coherence()
-    last, out, last_zero = repeat(k, entry, entry_sides)
-    return last, out, first_zero and last_zero
+    last, last_zero = repeat(k, entry)
+    return last, first_zero and last_zero
 
 
 def certify_two_section(table: TwoSection) -> FramingCertificate:
     """certify(smoothing_assemblage(...)[0], CORE_VALUES) in O(1) per stage.
 
-    Verifies the core and the initial coherence, then folds only the first
-    and the last repeat of each non-empty stage.  The sum rule and the
-    landing values of repeat k are affine in k, so holding at both ends they
-    hold for every repeat in between.  The state entering the last repeat
-    is the stage's entry state advanced by k shifts and k genus, rechecked
-    for coherence.  Returns the certificate the explicit fold
-    builds, with windings judged on the folded repeats.
+    Folds only the first and last repeat of each non-empty stage over the
+    verified core.  The sum rule and landing values of repeat k are affine
+    in k, so holding at both ends they hold in between; as every repeat
+    keeps the names ``dC`` and ``dD``, the state entering the last repeat is
+    the stage entry advanced by k shifts and k genus, rechecked for
+    coherence.  Returns the certificate the explicit fold builds, with
+    windings judged on the folded repeats.
     """
     report, state = _core_state(table.core, CORE_VALUES, 0)
-    sides, values, serial = _CORE_SIDES, _CORE_START, 0
-    windings_zero = True
+    values, windings_zero = _CORE_START, True
     for stage in table.stages:
         if stage.repeats:
-            state, sides, stage_zero = _fold_stage(stage, state, sides, values, serial)
+            state, stage_zero = _fold_stage(stage, state, values)
             windings_zero = windings_zero and stage_zero
         values = stage.values_at(values, stage.repeats)
-        serial += stage.repeats * stage.serials
     return _judge(report, state, windings_zero, table.ambient)
 
 

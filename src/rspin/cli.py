@@ -309,6 +309,8 @@ def _cmd_report(args):
 
 def _cmd_catalog(args):
     if args.op == "list":
+        if args.name is not None:
+            raise InconsistentInputError("catalog list takes no name")
         names = picard.catalog_names()
         human = [f"{len(names)} catalog lattices:"] + [f"  {n}" for n in names]
         return {"lattices": ",".join(names)}, human

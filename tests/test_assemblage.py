@@ -43,6 +43,7 @@ from rspin.picard import (
     smoothed_genus,
 )
 from rspin.winding import reduce_residue, residues_equal
+from steps_file import step_file_100k, step_line
 
 
 def test_verify_core_variants():
@@ -422,6 +423,26 @@ def test_staged_fold_matches_explicit_parameter_box():
                 _assert_folds_agree(g_c, g_d, d)
 
 
+def test_every_repeat_leaves_the_section_boundaries_under_their_names():
+    # The staged fold checks the names and values only after repeats 0 and
+    # n - 1; its jump to repeat n - 1 relies on them after every repeat.
+    for g_c in range(13):
+        for g_d in range(5):
+            for d in range(6, 15):
+                table = two_section(g_c, g_d, d)
+                asm, _ = smoothing_assemblage(g_c, g_d, d)
+                state = AssemblageState(verify_core(table.core).genus, CORE_VALUES)
+                steps, values = iter(asm.steps), tuple(v for _, v in CORE_VALUES)
+                for index, stage in enumerate(table.stages):
+                    for k in range(stage.repeats):
+                        state = apply_step(apply_step(state, next(steps)), next(steps))
+                        v_c, v_d = stage.values_at(values, k + 1)
+                        assert sorted(state.boundaries) == [("dC", v_c), ("dD", v_d)], \
+                            (g_c, g_d, d, index, k)
+                    values = stage.values_at(values, stage.repeats)
+                assert next(steps, None) is None
+
+
 def test_staged_fold_matches_explicit_p2_pairs():
     lat, _ = catalog_lattice("P2")
     for b in (1, 2, 3):
@@ -449,9 +470,9 @@ def _with_stage_pattern(monkeypatch, index, wrap, **changes):
 
 def _first_step(edit):
     def wrap(pattern):
-        def changed(k, serial, sides, values):
-            pair, out = pattern(k, serial, sides, values)
-            return (edit(pair[0]),) + pair[1:], out
+        def changed(k, values):
+            pair = pattern(k, values)
+            return (edit(pair[0]),) + pair[1:]
         return changed
     return wrap
 
@@ -774,23 +795,6 @@ def test_certify_100k_steps_is_fast():
     assert elapsed < 0.3, f"certify on 100,000 steps took {elapsed:.2f}s"
 
 
-def _step_line(step):
-    if step.mode == "split":
-        (n1, n2), (v1, v2) = step.new_names, step.new_values
-        return f"step {step.curve} split {step.component} {n1} {v1} {n2} {v2}"
-    return (f"step {step.curve} merge {step.component} {step.other} "
-            f"{step.new_names[0]} {step.new_values[0]}")
-
-
-def _100k_step_file():
-    """The 100,000 steps of `smoothing_assemblage(25003, 0, 25004)` as a file."""
-    asm, expected = smoothing_assemblage(25003, 0, 25004)
-    text = "\n".join(["ambient %d %d" % asm.ambient, "core e6a7"]
-                     + [f"boundary {n} {v}" for n, v in CORE_VALUES]
-                     + [_step_line(step) for step in asm.steps]) + "\n"
-    return text, expected
-
-
 def test_parse_and_certify_100k_step_file_is_fast():
     # On a 2-vCPU Xeon VM parse + certify took about 0.7 s with a
     # frozen-dataclass step record and a parse that split every line twice;
@@ -798,7 +802,7 @@ def test_parse_and_certify_100k_step_file_is_fast():
     # parse_assemblage builds into records, with residues taken inline in the
     # fold, took 11 % less (0.65 s against 0.72 s on a busier host, medians
     # of 7 alternating runs).
-    text, expected = _100k_step_file()
+    text, expected = step_file_100k()
     start = time.perf_counter()
     parsed, values = parse_assemblage(text)
     cert = certify(parsed, values)
@@ -814,7 +818,7 @@ def test_run_folds_a_100k_step_file_as_it_reads(tmp_path, capsys):
     # whole file at once also held its bytes, 106 B a step; splitting the whole
     # text into a list of lines first peaked at 162 B; holding every step
     # record, at about 690 B.
-    text, expected = _100k_step_file()
+    text, expected = step_file_100k()
     path = tmp_path / "steps.asm"
     path.write_text(text)
     del text
@@ -856,7 +860,7 @@ def _random_step_file(rng, kind, modulus, count):
     steps, live = [], []
     for step in _random_steps(rng, state, count):
         live.append([n for n, _ in state.boundaries])
-        steps.append(_step_line(step).split())
+        steps.append(step_line(step).split())
         state = _rescan_step(state, step)
     ambient = ((state.genus, state.b) if rng.random() < 0.5
                else (rng.randint(0, state.genus + 2), rng.randint(1, 3)))

@@ -373,6 +373,10 @@ def test_winding_census_large_genus(capsys):
 def test_catalog_cli(capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0 and "P1xP1" in out
+    # A stray name is refused, as `lattice P2 info 1` refuses a stray vector.
+    for fmt in ("human", "machine"):
+        code, out, err = run(capsys, "catalog", "list", "P2", "--format", fmt)
+        assert (code, out, err) == (1, "", "error: catalog list takes no name\n")
     code, out, _ = run(capsys, "catalog", "show", "P2")
     assert code == 0
     # The rendered lattice file parses back and reports identically.
@@ -579,3 +583,41 @@ def test_canonical_argv_parses_to_fixed_dests(capsys, command):
 def test_no_or_unknown_command_exits_two(capsys, argv):
     code, out, err = _exit_code(capsys, argv)
     assert code == 2 and out == "" and err.startswith("usage: rspin")
+
+
+# A required argument left out, for each command and subcommand.
+MISSING = {
+    "lattice": ["lattice"],
+    "config": ["config"],
+    "winding": ["winding"],
+    "winding act": ["winding", "act"],
+    "winding census": ["winding", "census"],
+    "assemblage": ["assemblage"],
+    "milnor": ["milnor"],
+    "psi": ["psi", "m(1,2)"],
+    "mainlemma": ["mainlemma"],
+    "report": ["report", "--surface", "P2"],
+    "catalog": ["catalog"],
+}
+
+
+def test_usage_error_cases_cover_every_command():
+    assert {command.split()[0] for command in CANONICAL} == set(cli.COMMANDS)
+    assert set(MISSING) == {*CANONICAL, "winding"}
+
+
+@pytest.mark.parametrize("command", list(CANONICAL))
+def test_unknown_option_after_valid_arguments_exits_two(capsys, command):
+    # The top-level parser reports what no subparser recognized.
+    code, out, err = _exit_code(capsys, CANONICAL[command][0] + ["--bogus"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: rspin [-h]")
+    assert err.endswith("rspin: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("command", list(MISSING))
+def test_missing_required_argument_exits_two(capsys, command):
+    code, out, err = _exit_code(capsys, MISSING[command])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(
+        f"rspin {command}: error: the following arguments are required:")
