@@ -943,7 +943,7 @@ def _cli_outcome(argv, capsys):
     if code == 0:
         assert err == ""
         return out, None
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     with pytest.raises(DomainError) as exc:
         args.func(args)
     assert (code, out, err) == (1, "", f"error: {exc.value}\n")
@@ -951,9 +951,7 @@ def _cli_outcome(argv, capsys):
 
 
 @pytest.mark.parametrize("modulus", [0] + list(range(2, 13)))
-def test_run_agrees_with_the_record_path(modulus, tmp_path, capsys, monkeypatch):
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_run_agrees_with_the_record_path(modulus, tmp_path, capsys):
     rng = random.Random(700 + modulus)
     path = tmp_path / "steps.asm"
     argv = ["assemblage", "run", str(path), "--format", "machine"]
@@ -1039,9 +1037,7 @@ def _report_grid_argvs():
                            "--D", ",".join(str((total - a) * x) for x in h.coords)]
 
 
-def test_report_grid_is_the_same_with_the_caches_cold_and_warm(capsys, monkeypatch):
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_report_grid_is_the_same_with_the_caches_cold_and_warm(capsys):
     argvs = [argv + ["--format", fmt] for argv in _report_grid_argvs()
              for fmt in ("human", "machine")]
     assert len({argv[2] for argv in argvs}) == 14 and len(argvs) == 14 * 30 * 2

@@ -1,4 +1,6 @@
+import argparse
 import random
+import sys
 import time
 
 import pytest
@@ -567,10 +569,10 @@ def test_help_exits_zero_with_the_command_in_its_usage(capsys, command):
 def test_canonical_argv_parses_to_fixed_dests(capsys, command):
     argv, dests = CANONICAL[command]
     for fmt in ("human", "machine"):
-        args = vars(cli.build_parser().parse_args(argv + ["--format", fmt]))
+        args = vars(cli.parse_args(argv + ["--format", fmt]))
         assert callable(args.pop("func"))
         assert args == {"command": argv[0], **dests, "format": fmt}
-    assert vars(cli.build_parser().parse_args(argv))["format"] == "human"
+    assert vars(cli.parse_args(argv))["format"] == "human"
     for bad in ("bad", "Machine", ""):
         code, out, err = _exit_code(capsys, argv + ["--format", bad])
         assert code == 2 and out == "" and err.startswith("usage: rspin ")
@@ -621,3 +623,116 @@ def test_missing_required_argument_exits_two(capsys, command):
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith(
         f"rspin {command}: error: the following arguments are required:")
+
+
+# -- only the invoked command's subparser gets arguments ----------------------
+#
+# `parse_args` keeps every subparser and its help but adds arguments only to
+# those argv names.  The reference below adds every command's arguments, as
+# the parser did before; `main` must print and exit the same through either.
+
+
+def _parser_with_every_argument() -> argparse.ArgumentParser:
+    def add_commands(parser, table, dest):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (help_, handler, *arguments) in table.items():
+            p = sub.add_parser(name, help=help_)
+            if isinstance(handler, dict):
+                add_commands(p, handler, "op")
+                continue
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.add_argument("--format", choices=("human", "machine"), default="human")
+            p.set_defaults(func=handler)
+
+    parser = argparse.ArgumentParser(
+        prog="rspin",
+        description="Winding-number calculus, assemblage certificates, and "
+                    "Picard-lattice monodromy reports.")
+    add_commands(parser, cli.COMMANDS, "command")
+    return parser
+
+
+def _usage_corpus():
+    """Each command's canonical argv and its usage errors, and the top level."""
+    for command, (argv, _) in CANONICAL.items():
+        n = len(command.split())
+        yield command, argv
+        yield f"{command} -h", argv[:n] + ["-h"]
+        yield f"{command} bogus-after", argv + ["--bogus"]
+        yield f"{command} bogus-before", ["--bogus"] + argv
+        yield f"{command} missing", MISSING[command]
+        yield f"{command} bad-format", argv + ["--format", "bad"]
+        yield f"{command} extra", argv + ["extra"]
+        yield f"{command} dashes-before", ["--"] + argv
+        yield f"{command} dashes-after", argv[:1] + ["--"] + argv[1:]
+    yield "winding missing", MISSING["winding"]
+    yield "winding -h", ["winding", "-h"]
+    yield "bare", []
+    yield "unknown", ["frobnicate"]
+    yield "-h", ["-h"]
+    yield "-h before a command", ["-h", "report"]
+
+
+USAGE_CORPUS = dict(_usage_corpus())
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.fixture
+def canonical_files(tmp_path, monkeypatch):
+    """Run in a directory that holds the canonical argvs' files, so that every
+    canonical command runs to the end."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.txt").write_text("context 1 0 4\ncurve a : 1 0 : 0\nword a\n")
+    (tmp_path / "a.asm").write_text(
+        "modulus 0\nambient 7 2\ncore e6a7\nboundary dC -9\nboundary dD -3\n"
+        "step t5 merge dC dD j1 -13\nstep delta5 split j1 dC2 -10 dD2 -4\n")
+
+
+@pytest.mark.parametrize("case", list(USAGE_CORPUS))
+def test_main_prints_what_the_parser_with_every_argument_prints(
+        capsys, monkeypatch, canonical_files, case):
+    argv = USAGE_CORPUS[case]
+    got = _outcome(capsys, argv)
+    assert got[0] == 0 or case not in CANONICAL, got
+    monkeypatch.setattr(cli, "parse_args",
+                        lambda argv: _parser_with_every_argument().parse_args(argv))
+    assert got == _outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("argv,filled", [
+    (["catalog", "list"], {"rspin", "rspin catalog"}),
+    (["winding", "census", "--g", "2"], {"rspin", "rspin winding", "rspin winding census"}),
+], ids=["catalog", "winding-census"])
+def test_only_the_invoked_command_gets_arguments(capsys, monkeypatch, argv, filled):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
+    assert main(argv) == 0
+    capsys.readouterr()
+    # Every command keeps its subparser; winding's ops exist once winding is named.
+    ops = ["rspin winding act", "rspin winding census"] if "winding" in argv else []
+    assert sorted(p.prog for p in made) == sorted(
+        ["rspin", *(f"rspin {c}" for c in cli.COMMANDS), *ops])
+    for p in made:
+        bare = p.format_usage() == f"usage: {p.prog} [-h]\n"
+        assert bare is (p.prog not in filled), p.prog
+
+
+def test_main_without_argv_parses_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["rspin", "catalog", "list", "--format", "machine"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("lattices=P2,")
