@@ -426,34 +426,32 @@ def _walk_pair(k, values):
 def two_section(g_c: int, g_d: int, d: int) -> TwoSection:
     """Stage table for a smoothed union of two sections, plus expected finals.
 
-    Parameterized by the section genera and the intersection count d: the
-    13-curve core (genus 6, two boundary circles), then three stages of
-    handle pairs -- (g_c - 3) split/merge pairs absorbing the first half's
-    remaining genus, (d - 4) merge/split pairs walking the remaining
-    boundary circles across, and g_d split/merge pairs for the second half.
-    The expected final boundary values are chi(C) - d - 1 and chi(D) - d - 1
-    with chi = 2 - 2g; the stages land on them exactly whenever the
-    construction applies (g_c >= 3).  Otherwise the table has no stages and
-    the expected values are still the formula output.
+    Its domain is d >= 6 and section genera >= 0, one of them >= 3 (so the
+    ambient genus is at least 8); anything else is refused with one message.
+    C and D may come in either order: over the 13-curve core (genus 6, two
+    boundary circles), the stages start from the section of genus g >= 3,
+    C unless g_c < 3 -- (g - 3) split/merge pairs absorbing its remaining
+    genus, (d - 4) merge/split pairs walking the remaining boundary circles
+    across, then g' split/merge pairs for the other section's genus g'.  The
+    expected final values are chi(C) - d - 1 and chi(D) - d - 1 (chi = 2 - 2g),
+    in (C, D) order; the stages land on them in the order they were built.
     """
-    if d < 6:
-        raise InconsistentInputError("construction needs d >= 6")
-    g_e = g_c + g_d + d - 1
-    if g_e < 5:
-        raise InconsistentInputError("construction needs ambient genus >= 5")
+    if d < 6 or min(g_c, g_d) < 0 or max(g_c, g_d) < 3:
+        raise InconsistentInputError(
+            "construction needs d >= 6 and section genera >= 0, one of them >= 3")
     expected = (1 - 2 * g_c - d, 1 - 2 * g_d - d)
-    stages: tuple[Stage, ...] = ()
-    if g_c >= 3:
-        stages = (Stage(_genus_pair("hc", 0), g_c - 3, (-2, 0)),
-                  Stage(_walk_pair, d - 4, (-1, -1)),
-                  Stage(_genus_pair("hd", 1), g_d, (0, -2)))
-        landed = _CORE_START
-        for stage in stages:
-            landed = stage.values_at(landed, stage.repeats)
-        if landed != expected:
-            raise InternalInconsistencyError(
-                f"step generator landed on {landed}, expected {expected}")
-    return TwoSection(e6_a7_core(), stages, (g_e, 2), expected)
+    order = 1 if g_c >= 3 else -1
+    first, second = (g_c, g_d)[::order]
+    stages = (Stage(_genus_pair("hc", 0), first - 3, (-2, 0)),
+              Stage(_walk_pair, d - 4, (-1, -1)),
+              Stage(_genus_pair("hd", 1), second, (0, -2)))
+    landed = _CORE_START
+    for stage in stages:
+        landed = stage.values_at(landed, stage.repeats)
+    if landed != expected[::order]:
+        raise InternalInconsistencyError(
+            f"step generator landed on {landed}, expected {expected[::order]}")
+    return TwoSection(e6_a7_core(), stages, (g_c + g_d + d - 1, 2), expected)
 
 
 def smoothing_assemblage(
@@ -464,10 +462,10 @@ def smoothing_assemblage(
     """Assemblage for a smoothed union of two sections, plus expected finals.
 
     Expands every repeat of the `two_section` stage table into explicit
-    steps, so it holds 2(g_c - 3) + 2(d - 4) + 2 g_d steps, O(deg^2) on a
-    fixed surface.  It is the reference that `certify_two_section`, the
-    O(1)-in-degree fold the monodromy report uses, is tested against.  With
-    g_c < 3 the assemblage is the bare core with no steps.
+    steps, 2(g_c + g_d + d - 7) of them, O(deg^2) on a fixed surface, for
+    d >= 6 and genera >= 0, one of them >= 3, with C and D in either order.
+    It is the reference that `certify_two_section`, the O(1)-in-degree fold
+    the monodromy report uses, is tested against.
     """
     table = two_section(g_c, g_d, d)
     steps: list[AssemblageStep] = []
@@ -567,8 +565,9 @@ def monodromy_report(
     that the monodromy group is the full stabilizer of the r-spin structure.
 
     The assemblage is certified stage by stage (`certify_two_section`), so
-    the report costs O(1) in the degree; `steps` still counts every step of
-    the explicit construction.
+    the report costs O(1) in the degree, with its final values checked;
+    `steps` counts every step of the explicit construction.  It needs d >= 6
+    and genera >= 0, one of them >= 3, with C and D in either order.
     """
     lattice = c.lattice
     l = c + d_class
@@ -615,7 +614,7 @@ def monodromy_report(
     table = two_section(g_c, g_d, d)
     expected = table.expected
     cert = certify_two_section(table)
-    if table.step_count and cert.values() and sorted(cert.values()) != sorted(expected):
+    if sorted(cert.values()) != sorted(expected):
         raise InternalInconsistencyError(
             f"engine finals {cert.values()} != expected {expected}")
     quantities["core_h"] = cert.core_genus

@@ -87,7 +87,8 @@ def _cmd_lattice(args):
                    if rep.degenerate else f"maximal root order r = {rep.divisibility}"]
     if args.op == "genus":
         g = picard.genus_of_section(vectors[0])
-        return {"genus": g}, [f"genus of a smooth section: {g}"]
+        return {"genus": g}, [f"genus of a smooth section: {g}" if g >= 0 else
+                              f"arithmetic genus: {g} (no smooth connected section exists)"]
     if args.op == "smoothed-genus":
         g = picard.smoothed_genus(*vectors)
         return {"genus": g}, [f"genus of the smoothed union: {g}"]

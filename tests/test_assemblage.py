@@ -43,6 +43,7 @@ from rspin.picard import (
     smoothed_genus,
 )
 from rspin.winding import reduce_residue, residues_equal
+import golden
 from steps_file import step_file_100k, step_line
 
 
@@ -125,18 +126,46 @@ def test_smoothing_assemblage_sextic_line():
     assert capping_order(cert.values()) == 4
 
 
+# The one refusal of every pair outside the two-section construction's domain.
+DOMAIN = "construction needs d >= 6 and section genera >= 0, one of them >= 3"
+
+
+def _refused(g_c, g_d, d):
+    for build in (two_section, smoothing_assemblage):
+        with pytest.raises(InconsistentInputError) as exc:
+            build(g_c, g_d, d)
+        assert str(exc.value) == DOMAIN, (g_c, g_d, d)
+
+
 def test_smoothing_assemblage_formula_corner():
-    # Unconstructible corner: formulas still exact, certificate inapplicable.
-    asm, expected = smoothing_assemblage(0, 0, 6)
-    assert expected == (-5, -5)
-    assert capping_order(expected) == 4
-    cert = certify(asm, CORE_VALUES)
+    # No section of genus >= 3: refused, as the bare core (genus 6) does not
+    # fill the genus-5 ambient; the formula values (-5, -5) still cap exactly.
+    _refused(0, 0, 6)
+    assert capping_order((-5, -5)) == 4
+    cert = certify(Assemblage(e6_a7_core(), (), (5, 2)), CORE_VALUES)
     assert not cert.verdict and not cert.filling
 
 
 def test_smoothing_assemblage_preconditions():
     with pytest.raises(InconsistentInputError):
         smoothing_assemblage(10, 0, 5)  # d < 6
+
+
+def test_two_section_refuses_every_pair_outside_its_domain():
+    _refused(10, 0, 5)  # d < 6
+    _refused(35, -1, 16)  # a section of negative genus
+    _refused(-1, 35, 16)
+    _refused(2, 2, 40)  # no section of genus >= 3
+
+
+def test_two_section_tables_have_three_stages_of_nonnegative_repeats():
+    for g_c, g_d, d in [(3, 0, 6), (0, 3, 6), (10, 0, 6), (0, 10, 6), (2, 5, 9), (5, 2, 9)]:
+        table = two_section(g_c, g_d, d)
+        assert len(table.stages) == 3 and min(s.repeats for s in table.stages) >= 0
+        assert table.expected == (1 - 2 * g_c - d, 1 - 2 * g_d - d)
+        assert table.step_count == 2 * (g_c + g_d + d - 7)
+        # The stages start from the section of genus >= 3, C unless g_C < 3.
+        assert table.stages[0].repeats == (g_c if g_c >= 3 else g_d) - 3
 
 
 def test_smoothing_assemblage_minimal_first_half():
@@ -420,7 +449,10 @@ def test_staged_fold_matches_explicit_parameter_box():
     for g_c in range(13):
         for g_d in range(5):
             for d in range(6, 15):
-                _assert_folds_agree(g_c, g_d, d)
+                if g_c < 3 and g_d < 3:
+                    _refused(g_c, g_d, d)
+                else:
+                    _assert_folds_agree(g_c, g_d, d)
 
 
 def test_every_repeat_leaves_the_section_boundaries_under_their_names():
@@ -429,6 +461,9 @@ def test_every_repeat_leaves_the_section_boundaries_under_their_names():
     for g_c in range(13):
         for g_d in range(5):
             for d in range(6, 15):
+                if g_c < 3 and g_d < 3:
+                    _refused(g_c, g_d, d)
+                    continue
                 table = two_section(g_c, g_d, d)
                 asm, _ = smoothing_assemblage(g_c, g_d, d)
                 state = AssemblageState(verify_core(table.core).genus, CORE_VALUES)
@@ -451,7 +486,10 @@ def test_staged_fold_matches_explicit_p2_pairs():
             g_c, g_d, dd = genus_of_section(c), genus_of_section(d), intersect(c, d)
             if dd < 6:
                 continue
-            _assert_folds_agree(g_c, g_d, dd)
+            if g_c < 3 and g_d < 3:
+                _refused(g_c, g_d, dd)
+            else:
+                _assert_folds_agree(g_c, g_d, dd)
 
 
 def _with_stage_pattern(monkeypatch, index, wrap, **changes):
@@ -509,13 +547,86 @@ def test_staged_fold_nonzero_curve_winding(monkeypatch):
 
 
 def test_monodromy_report_below_first_stage():
-    # g_C = 0 < 3: no steps; the capping arithmetic still runs.
+    # g_C = 0 < 3 <= g_D = 6: the stages start from D, and the report
+    # certifies as for the swapped pair, with the final values in (C, D) order.
     lat, ledger = catalog_lattice("P2")
     doc = monodromy_report(lat.divisor((2,)), lat.divisor((5,)), ledger)
     q = doc.quantities
-    assert (q["g_C"], q["steps"], q["filling"]) == (0, 0, 0)
-    assert q["certificate"] == "inapplicable" and doc.verdict == "not certified"
+    assert (q["g_C"], q["steps"], q["filling"]) == (0, 18, 1)
+    assert q["certificate"] == "generates" and doc.verdict == "Gamma_L = Mod(E)[phi_M], r = 4"
     assert q["final_values"] == "-9,-21" and q["r_prime"] == 4
+
+
+# -- the report is symmetric in C and D -----------------------------------------
+
+
+_RANK2_LATTICES = (
+    golden.LATTICE_TEXT,  # P1xP1 with (1,6) at jet 6 and (1,1) at jet 1
+    # P1xP1 whose ledger certifies each ruling at jet 1.
+    "rank 2\ngram 0 1 1 0\ncanonical -2 -2\njets\n1 0 1\n0 1 1\n",
+    # F1 in the basis (s, f) whose ledger certifies s + f and f at jet 1.
+    "rank 2\ngram -1 1 1 0\ncanonical -2 -3\njets\n1 1 1\n0 1 1\n",
+)
+
+
+def _report_draws(rng):
+    """Seeded (lattice and fresh ledger factory, C, D) draws on rank-2 lattices.
+
+    On a catalog surface L = C + D is mH with m >= 7, which the ledger {H: 1}
+    certifies; the file ledgers certify many more classes.  Both kinds reach
+    sections of negative genus and of genus below and above 3.
+    """
+    for name in ("P1xP1", "F1", "F2", "F3"):
+        h = catalog_lattice(name)[1].classes()[0].coords
+        for _ in range(30):
+            m = rng.randint(7, 10)
+            c = tuple(rng.randint(-1, m * x + 1) for x in h)
+            yield (lambda name=name: catalog_lattice(name)), c, tuple(
+                m * x - y for x, y in zip(h, c))
+    for text in _RANK2_LATTICES:
+        for _ in range(40):
+            c, d = ((rng.randint(-1, 6), rng.randint(-1, 6)) for _ in range(2))
+            yield (lambda text=text: picard.parse_lattice(text)), c, d
+
+
+def _report_or_refusal(lattice_and_ledger, c, d):
+    lat, ledger = lattice_and_ledger()
+    try:
+        return monodromy_report(lat.divisor(c), lat.divisor(d), ledger)
+    except DomainError as exc:
+        assert not isinstance(exc, InternalInconsistencyError), (c, d, exc)
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _judged(cert):
+    return (cert.final_genus, cert.final_boundary, sorted(cert.values()), cert.filling,
+            cert.verdict)
+
+
+def test_report_is_symmetric_in_c_and_d_and_certifies_only_its_domain():
+    certified = c_below_three = 0
+    for lattice_and_ledger, c, d in _report_draws(random.Random(22)):
+        doc = _report_or_refusal(lattice_and_ledger, c, d)
+        swapped = _report_or_refusal(lattice_and_ledger, d, c)
+        if isinstance(doc, str) or isinstance(swapped, str):
+            assert doc == swapped, (c, d)
+            continue
+        q, s = doc.quantities, swapped.quantities
+        assert doc.verdict == swapped.verdict, (c, d)
+        for key in ("r", "r_prime", "steps", "certificate", "filling"):
+            assert q.get(key) == s.get(key), (c, d, key)
+        if "final_values" in q:
+            assert q["final_values"].split(",") == s["final_values"].split(",")[::-1]
+        if doc.certificate is None:
+            continue
+        asm, _ = smoothing_assemblage(q["g_C"], q["g_D"], q["d"])
+        assert _judged(doc.certificate) == _judged(certify(asm, CORE_VALUES)), (c, d)
+        if doc.certificate.verdict:
+            certified += 1
+            c_below_three += q["g_C"] < 3
+            assert min(q["g_C"], q["g_D"]) >= 0 and max(q["g_C"], q["g_D"]) >= 3
+    # The draws certify in both orders: with C of genus >= 3 and below.
+    assert certified >= 40 and c_below_three >= 10, (certified, c_below_three)
 
 
 # -- the O(1)-per-step fold against a rescanning oracle -----------------------

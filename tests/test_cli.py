@@ -9,6 +9,8 @@ from rspin import cli, curveconf, milnor, picard
 from rspin.assemblage import certify, parse_assemblage
 from rspin.cli import main, parse_machine, render_machine
 
+import golden
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -310,6 +312,35 @@ def test_lattice_smoothed_genus_and_lefschetz(capsys):
                        "--format", "machine")
     pairs = parse_machine(out)
     assert pairs["classification"] == "K3" and pairs["exceptional"] == "1"
+
+
+def test_lattice_genus_names_a_negative_genus_arithmetic(capsys):
+    # (4,0) on P1xP1 is four disjoint fibers: arithmetic genus -3, no smooth
+    # connected section.  The machine line keeps the bare number.
+    code, out, _ = run(capsys, "lattice", "P1xP1", "genus", "4,0")
+    assert code == 0 and out == "arithmetic genus: -3 (no smooth connected section exists)\n"
+    code, out, _ = run(capsys, "lattice", "P1xP1", "genus", "4,0", "--format", "machine")
+    assert out == "genus=-3\n"
+    code, out, _ = run(capsys, "lattice", "P1xP1", "genus", "1,0")
+    assert out == "genus of a smooth section: 0\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize("surface,c,d", [
+    ("P1xP1", "6,8", "2,0"),  # g_D = -1
+    ("P1xP1", "1,6", "6,1"),  # g_C = g_D = 0
+    ("FILE", "1,3", "1,4"),  # g_C = g_D = 0 and g_E = 6, filled by the bare core
+], ids=["negative-genus", "both-below-three", "file-bare-core"])
+def test_report_outside_the_construction_exits_one(capsys, tmp_path, surface, c, d, fmt):
+    if surface == "FILE":
+        golden.write_inputs(tmp_path)
+        surface = str(tmp_path / golden.LATTICE_FILE)
+    for first, second in ((c, d), (d, c)):
+        code, out, err = run(capsys, "report", "--surface", surface, "--C", first,
+                             "--D", second, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == ("error: construction needs d >= 6 and section genera >= 0, "
+                       "one of them >= 3\n")
 
 
 @pytest.mark.parametrize("cls", ["-1", "3"])
