@@ -9,13 +9,16 @@ Exit status: 0 success, 1 structured domain error, 2 usage error.
 argv names get theirs, so a `report` parses in 1.0 ms, not 1.8 (in-process,
 2-vCPU host; skipping the top level waits on ROADMAP item 1).  A handler
 returns (quantities, human lines), and `main` prints one of the two.
+
+argparse is imported on the first parse, so importing this module loads
+neither it nor gettext.  A one-shot console call still pays for both on its
+first parse, until a canonical argv is read without argparse (ROADMAP item 3).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import assemblage as asmmod
 from . import braidcalc
@@ -24,6 +27,9 @@ from . import milnor as milnormod
 from . import picard
 from . import winding as windmod
 from .errors import DomainError, InconsistentInputError, NotSimpleError, read_text
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _coords(text: str) -> tuple[int, ...]:
@@ -91,7 +97,9 @@ def _cmd_lattice(args):
                               f"arithmetic genus: {g} (no smooth connected section exists)"]
     if args.op == "smoothed-genus":
         g = picard.smoothed_genus(*vectors)
-        return {"genus": g}, [f"genus of the smoothed union: {g}"]
+        return {"genus": g}, [f"genus of the smoothed union: {g}" if g >= 0 else
+                              f"arithmetic genus of the smoothed union: {g} "
+                              "(no smooth connected section exists)"]
     if args.op == "hypothesis":
         split = picard.jet_splitting_certificate(vectors[0], ledger)
         if split is None:
@@ -384,6 +392,8 @@ def _add_commands(parser, table: dict, dest: str, argv: Sequence[str]) -> None:
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    import argparse  # here, not at the top: with gettext it was most of the import
+
     parser = argparse.ArgumentParser(
         prog="rspin",
         description="Winding-number calculus, assemblage certificates, and "

@@ -10,10 +10,10 @@ regenerate it, run (with rspin importable, installed or on PYTHONPATH):
 
 The corpus holds the report box (below), the catalog, the core and chain
 configurations, the README examples that need no file, the Milnor germs CI
-checks and three two-section refusals, each in both formats.  The one input
-file is written to a fixed relative name, so no output holds a path.  Usage
-errors and help stay out: argparse words them differently across Python
-versions.
+checks, three two-section refusals and the `lattice` ops on every catalog
+lattice, each in both formats.  The one input file is written to a fixed
+relative name, so no output holds a path.  Usage errors and help stay out:
+argparse words them differently across Python versions.
 """
 
 import contextlib
@@ -58,6 +58,22 @@ def report_box():
     return argvs
 
 
+def lattice_ops():
+    """Each `lattice` op but `hypothesis` (P2's are above) on every catalog
+    lattice, with the first and last unit vectors e1 and en: e1 . en, the
+    adjoint of e1, the genus of 2en and the smoothed genus of en and en, which
+    is negative wherever en is a fiber or an exceptional curve."""
+    argvs = []
+    for name in catalog_names():
+        rank = catalog_lattice(name)[0].rank
+        e1, en, en2 = ("1" + ",0" * (rank - 1), "0," * (rank - 1) + "1",
+                       "0," * (rank - 1) + "2")
+        for op in (["info"], ["intersect", e1, en], ["adjoint", e1], ["genus", en2],
+                   ["smoothed-genus", en, en], ["lefschetz"]):
+            argvs += _both_formats(["lattice", name, *op])
+    return argvs
+
+
 def argvs():
     """Every argv of the corpus, in file order, each once."""
     out = report_box()
@@ -81,6 +97,7 @@ def argvs():
     for argv in (_report("P1xP1", (6, 8), (2, 0)), _report("P1xP1", (1, 6), (6, 1)),
                  _report(LATTICE_FILE, (1, 3), (1, 4))):
         out += _both_formats(argv)
+    out += lattice_ops()
     return list({shlex.join(argv): argv for argv in out}.values())
 
 

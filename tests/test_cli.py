@@ -325,6 +325,18 @@ def test_lattice_genus_names_a_negative_genus_arithmetic(capsys):
     assert out == "genus of a smooth section: 0\n"
 
 
+def test_lattice_smoothed_genus_names_a_negative_genus_arithmetic(capsys):
+    # Two fibers (1,0) smooth to (2,0), two disjoint fibers: arithmetic genus -1.
+    code, out, _ = run(capsys, "lattice", "P1xP1", "smoothed-genus", "1,0", "1,0")
+    assert code == 0 and out == ("arithmetic genus of the smoothed union: -1 "
+                                 "(no smooth connected section exists)\n")
+    code, out, _ = run(capsys, "lattice", "P1xP1", "smoothed-genus", "1,0", "1,0",
+                       "--format", "machine")
+    assert out == "genus=-1\n"
+    code, out, _ = run(capsys, "lattice", "P1xP1", "smoothed-genus", "1,0", "0,1")
+    assert out == "genus of the smoothed union: 0\n"
+
+
 @pytest.mark.parametrize("fmt", ["human", "machine"])
 @pytest.mark.parametrize("surface,c,d", [
     ("P1xP1", "6,8", "2,0"),  # g_D = -1

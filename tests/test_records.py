@@ -73,6 +73,25 @@ def test_import_cli_loads_no_class_generating_modules():
     assert _fresh_interpreter(code) == "[]\n"
 
 
+def test_import_cli_loads_no_argparse_until_the_first_parse():
+    """argparse (with gettext) loads on the first parse, which still parses and
+    still refuses a bad argv with the usage line and exit status 2."""
+    code = """
+import contextlib, io
+import rspin.cli
+loaded = sorted({"argparse", "gettext"} & set(sys.modules))
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    listed = rspin.cli.main(["catalog", "list"])
+    try:
+        rspin.cli.main(["report", "--surface", "P2", "--C", "7", "--D", "3", "--bogus"])
+    except SystemExit as exc:
+        refused = exc.code
+print([loaded, listed, refused, err.getvalue().startswith("usage: rspin")])
+"""
+    assert ast.literal_eval(_fresh_interpreter(code)) == [[], 0, 2, True]
+
+
 LAYERS = ("picard", "curveconf", "winding", "assemblage", "milnor", "braidcalc")
 
 
