@@ -10,15 +10,15 @@ argv names get theirs, so a `report` parses in 1.0 ms, not 1.8 (in-process,
 2-vCPU host; skipping the top level waits on ROADMAP item 1).  A handler
 returns (quantities, human lines), and `main` prints one of the two.
 
-argparse is imported on the first parse, so importing this module loads
-neither it nor gettext.  A one-shot console call still pays for both on its
-first parse, until a canonical argv is read without argparse (ROADMAP item 3).
+argparse is imported by `parse_args`, not with this module, so that a reader
+of canonical argvs can skip it (ROADMAP item 3).  Until then every process
+that parses imports it, as before.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import assemblage as asmmod
 from . import braidcalc
@@ -27,9 +27,6 @@ from . import milnor as milnormod
 from . import picard
 from . import winding as windmod
 from .errors import DomainError, InconsistentInputError, NotSimpleError, read_text
-
-if TYPE_CHECKING:
-    import argparse
 
 
 def _coords(text: str) -> tuple[int, ...]:
@@ -392,7 +389,7 @@ def _add_commands(parser, table: dict, dest: str, argv: Sequence[str]) -> None:
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    import argparse  # here, not at the top: with gettext it was most of the import
+    import argparse  # here, so a reader of canonical argvs can skip it (ROADMAP item 3)
 
     parser = argparse.ArgumentParser(
         prog="rspin",

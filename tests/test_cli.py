@@ -315,26 +315,21 @@ def test_lattice_smoothed_genus_and_lefschetz(capsys):
 
 
 def test_lattice_genus_names_a_negative_genus_arithmetic(capsys):
-    # (4,0) on P1xP1 is four disjoint fibers: arithmetic genus -3, no smooth
+    # On P1xP1, (4,0) is four disjoint fibers (arithmetic genus -3), and two
+    # fibers (1,0) smooth to two disjoint fibers (-1): neither has a smooth
     # connected section.  The machine line keeps the bare number.
-    code, out, _ = run(capsys, "lattice", "P1xP1", "genus", "4,0")
-    assert code == 0 and out == "arithmetic genus: -3 (no smooth connected section exists)\n"
-    code, out, _ = run(capsys, "lattice", "P1xP1", "genus", "4,0", "--format", "machine")
-    assert out == "genus=-3\n"
-    code, out, _ = run(capsys, "lattice", "P1xP1", "genus", "1,0")
-    assert out == "genus of a smooth section: 0\n"
-
-
-def test_lattice_smoothed_genus_names_a_negative_genus_arithmetic(capsys):
-    # Two fibers (1,0) smooth to (2,0), two disjoint fibers: arithmetic genus -1.
-    code, out, _ = run(capsys, "lattice", "P1xP1", "smoothed-genus", "1,0", "1,0")
-    assert code == 0 and out == ("arithmetic genus of the smoothed union: -1 "
-                                 "(no smooth connected section exists)\n")
-    code, out, _ = run(capsys, "lattice", "P1xP1", "smoothed-genus", "1,0", "1,0",
-                       "--format", "machine")
-    assert out == "genus=-1\n"
-    code, out, _ = run(capsys, "lattice", "P1xP1", "smoothed-genus", "1,0", "0,1")
-    assert out == "genus of the smoothed union: 0\n"
+    for op, negative, human, machine, nonnegative, line in [
+        ("genus", ["4,0"], "arithmetic genus: -3", "genus=-3",
+         ["1,0"], "genus of a smooth section: 0"),
+        ("smoothed-genus", ["1,0", "1,0"], "arithmetic genus of the smoothed union: -1",
+         "genus=-1", ["1,0", "0,1"], "genus of the smoothed union: 0"),
+    ]:
+        code, out, _ = run(capsys, "lattice", "P1xP1", op, *negative)
+        assert code == 0 and out == human + " (no smooth connected section exists)\n"
+        code, out, _ = run(capsys, "lattice", "P1xP1", op, *negative, "--format", "machine")
+        assert out == machine + "\n"
+        code, out, _ = run(capsys, "lattice", "P1xP1", op, *nonnegative)
+        assert out == line + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["human", "machine"])
