@@ -5,10 +5,11 @@ output is key=value lines, deterministic, that parse back to the same pairs;
 `catalog show` prints in both formats the lattice file that `lattice` reads.
 Exit status: 0 success, 1 structured domain error, 2 usage error.
 
-`COMMANDS` lists each command's help, handler and arguments; only the commands
-argv names get theirs, so a `report` parses in 1.0 ms, not 1.8 (in-process,
-2-vCPU host; skipping the top level waits on ROADMAP item 1).  A handler
-returns (quantities, human lines), and `main` prints one of the two.
+`COMMANDS` lists each command's help, handler and arguments.  Only the commands
+that argv names get their arguments and a -h; every other command gets a
+subparser with only its name and help line, which argparse never parses
+(skipping the top level waits on ROADMAP item 1).  A handler returns
+(quantities, human lines), and `main` prints one of the two.
 
 argparse is imported by `parse_args`, not with this module, so that a reader
 of canonical argvs can skip it (ROADMAP item 3).  Until then every process
@@ -372,13 +373,15 @@ COMMANDS = {
 
 
 def _add_commands(parser, table: dict, dest: str, argv: Sequence[str]) -> None:
-    # Only the commands that argv names get arguments.  argparse dispatches on
-    # an element of argv, not always argv[0] (`rspin --bogus report ...`, or
-    # `rspin -- report ...` on newer Pythons), and never reads another
-    # subparser's arguments.
+    # Only the commands that argv names get arguments, and a -h.  argparse
+    # dispatches on an element of argv equal to a command's name, not always
+    # argv[0] (`rspin --bogus report ...`, or `rspin -- report ...` on newer
+    # Pythons), and refuses an abbreviation (`rspin rep -h`), so it never
+    # parses with, or prints the help of, any other subparser.  Top-level usage
+    # and help list the commands from their names and help lines alone.
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_, handler, *arguments) in table.items():
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, add_help=name in argv)
         if name in argv and isinstance(handler, dict):
             _add_commands(p, handler, "op", argv)
         elif name in argv:

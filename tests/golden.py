@@ -10,10 +10,12 @@ regenerate it, run (with rspin importable, installed or on PYTHONPATH):
 
 The corpus holds the report box (below), the catalog, the core and chain
 configurations, the README examples that need no file, the Milnor germs CI
-checks, three two-section refusals and the `lattice` ops on every catalog
-lattice, each in both formats.  The one input file is written to a fixed
-relative name, so no output holds a path.  Usage errors and help stay out:
-argparse words them differently across Python versions.
+checks, three two-section refusals, the `lattice` ops on every catalog lattice
+and the domain errors that `tests/test_cli.py` names, each in both formats.
+The input files are written to fixed relative names, so no output holds a
+path.  Usage errors and help stay out: argparse words them differently across
+Python versions.  So does Python's int-to-str limit, so the answers too long to
+print stay out too.
 """
 
 import contextlib
@@ -34,6 +36,33 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 # and the ledger certifies L = (2, 7) as (1, 6) + (1, 1).
 LATTICE_FILE = "rank2.lat"
 LATTICE_TEXT = "rank 2\ngram 0 1 1 0\ncanonical -2 -2\njets\n1 6 6\n1 1 1\n"
+
+
+_ASSEMBLAGE_HEADER = "ambient 7 2\ncore e6a7\nboundary dC -9\nboundary dD -3\n"
+
+# The files of the domain errors below, as `tests/test_cli.py` writes them.
+ERROR_INPUTS = {
+    "late-header.asm": _ASSEMBLAGE_HEADER + "step t5 merge dC dD j1 -13\n"
+                       "boundary dE 0  # too late\n",
+    "ghost.asm": _ASSEMBLAGE_HEADER + "step t5 merge dC dD j1 -13\n"
+                 "step t6 split ghost a -5 b -5\nstep delta5 split j1 dC2 -10 dD2 -4\n"
+                 "step t7 split\n",
+    "not-utf8.txt": b"modulus 0\n\xff\n",
+    "minus-h.lat": "name P2\nrank 1\ngram 1\ncanonical 3\njets\n-1 1\n",
+    "bare-modulus.asm": "modulus\nambient 6 2\ncore e6a7\nboundary dC -9\nboundary dD -3\n",
+    "bare-name.lat": "rank 1\ngram 1\ncanonical -3\nname\n",
+    "short-context.txt": "context 2 0\ncurve a : 1 0 0 0 : 0\nword a^1\n",
+    "context-x.txt": "context 1 0 x\ncurve a : 1 0 : 0\n",
+    "class-q.txt": "context 1 0 4\ncurve a : 1 q : 0  # class\n",
+    "value-2.5.txt": "context 1 0 4\ncurve a : 1 0 : 2.5\n",
+    "exponent-x.txt": "context 1 0 4\ncurve a : 1 0 : 0\nword a^x\n",
+    "bare-caret.txt": "context 1 0 4\ncurve c : 0 1 : 1\nword c^\n",
+    "ambient-one.txt": "curves a b\nambient 1 one\nintersections\nx a b\n",
+    "sign-plus.txt": "curves a b\nintersections\nx a b +\n",
+    "jet-one.lat": "rank 1\ngram 1\ncanonical -3,\njets\n1 one\n",
+    "zero-class.lat": "rank 1\ngram 1\ncanonical -3\njets\n1 1\n0 1\n",
+    "negative-degree.lat": "rank 2\ngram 1 0 0 -1\ncanonical -3 1\njets\n1 0 1\n0 1 0\n",
+}
 
 
 def _both_formats(argv):
@@ -74,6 +103,34 @@ def lattice_ops():
     return argvs
 
 
+def domain_errors():
+    """The domain errors that `tests/test_cli.py` names, each on the input the
+    test gives it, but those that need a patched limit or print Python's own
+    int-to-str message; every one exits 1."""
+    argvs = [["lattice", "not-utf8.txt", "info"], ["config", "analyze", "not-utf8.txt"],
+             ["winding", "act", "not-utf8.txt"], ["assemblage", "run", "not-utf8.txt"],
+             _report("not-utf8.txt", (6,), (1,)),
+             # the two-section refusals above, with the sections swapped
+             _report("P1xP1", (2, 0), (6, 8)), _report("P1xP1", (6, 1), (1, 6)),
+             _report(LATTICE_FILE, (1, 4), (1, 3)),
+             ["assemblage", "run", "late-header.asm"], ["assemblage", "run", "ghost.asm"],
+             ["assemblage", "run", "bare-modulus.asm"],
+             ["lattice", "P2", "lefschetz", "-1"], ["lattice", "P2", "lefschetz", "3"],
+             ["lattice", "minus-h.lat", "lefschetz", "1"], ["lattice", "NOPE", "info"],
+             ["lattice", "bare-name.lat", "info"], ["lattice", "jet-one.lat", "info"],
+             ["lattice", "zero-class.lat", "hypothesis", "7"],
+             ["lattice", "negative-degree.lat", "hypothesis", "7,0"],
+             ["config", "analyze", "--chain", "0"], ["config", "analyze", "ambient-one.txt"],
+             ["config", "analyze", "sign-plus.txt"], ["catalog", "list", "P2"],
+             ["milnor", "y^2"], ["milnor", "x^4-2*x^2*y^3+y^6"], ["milnor", "x^300+y^300"]]
+    argvs += [["winding", "act", name] for name in (
+        "short-context.txt", "context-x.txt", "class-q.txt", "value-2.5.txt",
+        "exponent-x.txt", "bare-caret.txt")]
+    argvs += [["psi", f"m(1,2) {chunk}", "--d", "6"] for chunk in (
+        "m(1)", "m(1,x)", "m(1,2)^x", "b(q)", "m(1,2,3)", "m(1,2)^")]
+    return [both for argv in argvs for both in _both_formats(argv)]
+
+
 def argvs():
     """Every argv of the corpus, in file order, each once."""
     out = report_box()
@@ -98,11 +155,14 @@ def argvs():
                  _report(LATTICE_FILE, (1, 3), (1, 4))):
         out += _both_formats(argv)
     out += lattice_ops()
+    out += domain_errors()
     return list({shlex.join(argv): argv for argv in out}.values())
 
 
 def write_inputs(directory) -> None:
-    (Path(directory) / LATTICE_FILE).write_text(LATTICE_TEXT, encoding="utf-8")
+    for name, text in {LATTICE_FILE: LATTICE_TEXT, **ERROR_INPUTS}.items():
+        data = text if isinstance(text, bytes) else text.encode("utf-8")
+        (Path(directory) / name).write_bytes(data)
 
 
 def _digest(text: str) -> str:

@@ -710,6 +710,11 @@ def _usage_corpus():
     yield "unknown", ["frobnicate"]
     yield "-h", ["-h"]
     yield "-h before a command", ["-h", "report"]
+    # argparse takes a command only by its full name, so a subparser that argv
+    # does not name is never parsed and needs no -h.
+    yield "abbreviated -h", ["rep", "-h"]
+    yield "abbreviated", ["repor", "--surface", "P2", "--C", "7", "--D", "3"]
+    yield "abbreviated op -h", ["winding", "cen", "-h"]
 
 
 USAGE_CORPUS = dict(_usage_corpus())
@@ -749,7 +754,8 @@ def test_main_prints_what_the_parser_with_every_argument_prints(
 @pytest.mark.parametrize("argv,filled", [
     (["catalog", "list"], {"rspin", "rspin catalog"}),
     (["winding", "census", "--g", "2"], {"rspin", "rspin winding", "rspin winding census"}),
-], ids=["catalog", "winding-census"])
+    (["report", "--surface", "P2", "--C", "7", "--D", "3"], {"rspin", "rspin report"}),
+], ids=["catalog", "winding-census", "report"])
 def test_only_the_invoked_command_gets_arguments(capsys, monkeypatch, argv, filled):
     made = []
     init = argparse.ArgumentParser.__init__
@@ -765,9 +771,15 @@ def test_only_the_invoked_command_gets_arguments(capsys, monkeypatch, argv, fill
     ops = ["rspin winding act", "rspin winding census"] if "winding" in argv else []
     assert sorted(p.prog for p in made) == sorted(
         ["rspin", *(f"rspin {c}" for c in cli.COMMANDS), *ops])
+    # A command that argv does not name is never parsed, so it gets not even -h;
+    # a named one has -h and then its arguments (or its commands).
     for p in made:
-        bare = p.format_usage() == f"usage: {p.prog} [-h]\n"
-        assert bare is (p.prog not in filled), p.prog
+        usage, words = p.format_usage(), ["usage:", *p.prog.split()]
+        if p.prog in filled:
+            assert usage.split()[:len(words) + 1] == [*words, "[-h]"], usage
+            assert len(usage.split()) > len(words) + 1, usage
+        else:
+            assert usage == f"usage: {p.prog}\n", usage
 
 
 def test_main_without_argv_parses_sys_argv(capsys, monkeypatch):
